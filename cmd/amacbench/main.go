@@ -128,11 +128,10 @@ func main() {
 		}
 		var msBefore runtime.MemStats
 		runtime.ReadMemStats(&msBefore)
-		harness.ResetSimEvents()
 		start := time.Now()
 		tab := e.Run(opts)
 		wall := time.Since(start)
-		events := harness.SimEvents()
+		events := tab.SimEvents
 		var msAfter runtime.MemStats
 		runtime.ReadMemStats(&msAfter)
 		tab.Render(os.Stdout)

@@ -20,9 +20,10 @@
 //	amacsim -topology ring -n 48 -k 3 -dump > scenarios/my-ring.json
 //	amacsim -scenario scenarios/large-n-rgg.json && amacsim -read-trace large-n-rgg.s1.amtr
 //
-// A scenario with run.trace_file streams each trial's trace to a binary
-// file instead of RAM (the large-n path); -read-trace decodes such a file,
-// printing a per-kind summary, or the full rendered trace with -trace.
+// A scenario with "trace": "stream" streams each trial's trace to its
+// run.trace_file instead of RAM (the large-n path); -read-trace decodes such
+// a file, printing a per-kind summary, or the full rendered trace with
+// -trace.
 //
 // -server submits the scenario as a job to a running amacd daemon and
 // renders the merged result; the report is byte-identical to the in-process

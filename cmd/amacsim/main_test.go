@@ -104,7 +104,7 @@ func TestDumpRoundTrip(t *testing.T) {
 }
 
 // TestReadTraceDecodesStreamedRun drives the full streaming loop a large-n
-// user runs: a scenario with run.trace_file, then -read-trace over the file
+// user runs: a scenario with "trace": "stream", then -read-trace over the file
 // it produced. The summary must report the events of that execution, and
 // the flag must refuse to combine with -scenario.
 func TestReadTraceDecodesStreamedRun(t *testing.T) {
@@ -116,7 +116,7 @@ func TestReadTraceDecodesStreamedRun(t *testing.T) {
 	}
 	pattern := filepath.Join(dir, "ring.amtr")
 	patched := strings.Replace(string(raw), `"run": {`,
-		`"run": {"trace_file": `+strconv.Quote(pattern)+`, `, 1)
+		`"run": {"trace": "stream", "trace_file": `+strconv.Quote(pattern)+`, `, 1)
 	if err := os.WriteFile(path, []byte(patched), 0o644); err != nil {
 		t.Fatal(err)
 	}

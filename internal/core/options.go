@@ -74,11 +74,11 @@ type RunOptions struct {
 	// at every shard count. A connected network degenerates to the legacy
 	// execution, so for those the two semantics coincide exactly.
 	Shards int
-	// Regions, when > 1, additionally splits each run into contiguous node
-	// regions executed optimistically in Fprog-sized time windows with
-	// rollback on cross-region delivery — the path for single-component
-	// giants. Requires Shards ≥ 1 and automata that implement
-	// mac.Resettable. 0 or 1 disables windowing.
+	// Regions selected the windowed-region executor, which was removed;
+	// Validate rejects any non-zero value.
+	//
+	// Deprecated: drop it. The field remains only because perfbench still
+	// copies it from scenario specs; delete it once perfbench stops.
 	Regions int
 }
 
@@ -99,11 +99,8 @@ func (o RunOptions) Validate() error {
 	if o.Shards < 0 {
 		return fmt.Errorf("core: negative Shards %d", o.Shards)
 	}
-	if o.Regions < 0 {
-		return fmt.Errorf("core: negative Regions %d", o.Regions)
-	}
-	if o.Regions > 1 && o.Shards < 1 {
-		return errors.New("core: Regions > 1 requires Shards >= 1 (windowed execution is part of the decomposed executor)")
+	if o.Regions != 0 {
+		return errors.New("core: the windowed-region executor was removed; drop Regions")
 	}
 	return nil
 }

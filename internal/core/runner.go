@@ -22,8 +22,8 @@ type RunConfig struct {
 	// that degenerate to one engine).
 	Scheduler mac.Scheduler
 	// NewScheduler constructs a fresh scheduler instance. Required when
-	// Options.Shards >= 1 (each component shard / region engine gets its
-	// own instance; sharing one would entangle their random streams) and
+	// Options.Shards >= 1 (each component shard engine gets its own
+	// instance; sharing one would entangle their random streams) and
 	// forbidden otherwise. Instances must be built deterministically —
 	// equal calls, equal schedulers — and the function must be safe to call
 	// from concurrent shard workers.
@@ -93,8 +93,8 @@ type Result struct {
 	// only until the Runner's next Run recycles it, so inspect (or copy
 	// out of) it before starting another trial. Plain core.Run results
 	// keep their engine indefinitely. Decomposed executions (Options.Shards
-	// >= 1 on a multi-component network, or Options.Regions > 1) run many
-	// engines and leave Engine nil.
+	// >= 1 on a multi-component network) run many engines and leave Engine
+	// nil.
 	Engine *mac.Engine
 }
 
@@ -151,12 +151,6 @@ func (cfg *RunConfig) resolve() (*Workload, error) {
 	for i, a := range cfg.Automata {
 		if a == nil {
 			return nil, fmt.Errorf("core: nil automaton for node %d", i)
-		}
-		if cfg.Options.Regions > 1 {
-			if _, ok := a.(mac.Resettable); !ok {
-				return nil, fmt.Errorf("core: Options.Regions=%d requires resettable automata (node %d's %T does not implement mac.Resettable; windowed execution replays regions from time zero)",
-					cfg.Options.Regions, i, a)
-			}
 		}
 	}
 	if workload.K() == 0 {
@@ -215,7 +209,6 @@ type Runner struct {
 	// compQueue is the BFS scratch componentIndexInto recycles per Rebind.
 	compQueue []graph.NodeID
 	st        runState
-	watch     func(sim.TraceEvent)
 	// The G′ component index drives the sharded executor's carve-up. It is
 	// computed lazily on the first sharded Run (legacy runs never pay for
 	// it) and keyed by the dual it was computed for, so Rebind invalidates
@@ -232,7 +225,6 @@ type Runner struct {
 func NewRunner(d *topology.Dual) *Runner {
 	r := &Runner{dual: d, arena: mac.NewArena(d)}
 	r.compOf, r.compSizes = componentIndex(d.G)
-	r.watch = r.st.onEvent
 	return r
 }
 
@@ -244,15 +236,13 @@ func NewRunner(d *topology.Dual) *Runner {
 // call from multiple goroutines.
 func (r *Runner) Fork() *Runner {
 	r.forked.Store(true)
-	nr := &Runner{
+	return &Runner{
 		dual:       r.dual,
 		arena:      r.arena.Fork(),
 		compOf:     r.compOf,
 		compSizes:  r.compSizes,
 		compShared: true,
 	}
-	nr.watch = nr.st.onEvent
-	return nr
 }
 
 // Dual returns the network the runner was built for.
@@ -348,9 +338,10 @@ func componentIndexInto(g *graph.Graph, compOf, compSizes []int, queue []graph.N
 	return compOf, compSizes, queue
 }
 
-// runState is the completion-watcher state of one execution: it counts
-// required deliveries, flags MMB violations and halts on completion. Cold
-// runs allocate one per execution; a Runner owns one and recycles its maps.
+// runState is the completion-watcher state of one engine's execution: it
+// counts required deliveries, flags MMB violations and halts on completion.
+// Cold runs and component shards allocate one per engine; a Runner owns one
+// and recycles its maps and bound watcher.
 type runState struct {
 	res      *Result
 	eng      *mac.Engine
@@ -359,6 +350,22 @@ type runState struct {
 	halt     bool
 	seen     map[deliverKey]bool
 	arrived  map[Msg]bool
+	watch    func(sim.TraceEvent) // st.onEvent, bound once
+}
+
+// reset prepares the state for an execution that fills res: fresh state
+// allocates its maps (sized for required deliveries of k messages), pooled
+// state clears them.
+func (st *runState) reset(res *Result, compOf []int, required, k int, halt bool) {
+	if st.seen == nil {
+		st.seen = make(map[deliverKey]bool, required)
+		st.arrived = make(map[Msg]bool, k)
+		st.watch = st.onEvent
+	} else {
+		clear(st.seen)
+		clear(st.arrived)
+	}
+	st.res, st.compOf, st.required, st.halt = res, compOf, required, halt
 }
 
 // onEvent observes every trace event of the execution. It decodes message
@@ -431,14 +438,11 @@ func runWith(cfg RunConfig, rn *Runner) (*Result, error) {
 		cfg.StepLimit = uint64(n+1) * uint64(cfg.Horizon/cfg.Fprog+1) * 64
 	}
 
-	// Decomposed executors. Their output is a pure function of the
+	// The decomposed executor. Its output is a pure function of the
 	// configuration — independent of Shards beyond the >= 1 switch, and of
 	// how many workers actually run — but it is a different function from
 	// the legacy single-engine execution whenever the network genuinely
 	// decomposes (per-shard scheduler streams replace the one global one).
-	if cfg.Options.Regions > 1 {
-		return runWindowed(cfg, rn)
-	}
 	if cfg.Options.Shards >= 1 {
 		var gpOf, gpSizes []int
 		if rn != nil {
@@ -454,24 +458,6 @@ func runWith(cfg RunConfig, rn *Runner) (*Result, error) {
 		// execution below (same scheduler, same streams, same trace).
 	}
 
-	mcfg := mac.Config{
-		Dual:      cfg.Dual,
-		Fack:      cfg.Fack,
-		Fprog:     cfg.Fprog,
-		Scheduler: cfg.Scheduler,
-		Mode:      cfg.Mode,
-		Seed:      cfg.Seed,
-		EpsAbort:  cfg.EpsAbort,
-		NoTrace:   cfg.Options.Trace == TraceOff,
-	}
-	if cfg.Options.Trace == TraceStream {
-		mcfg.Sink = cfg.Options.Sink
-	}
-	if rn != nil {
-		mcfg.Arena = rn.arena
-	}
-	eng := mac.NewEngine(mcfg, cfg.Automata)
-
 	// Required deliveries: every message must reach every node in its
 	// origin's G-component.
 	var compOf, compSizes []int
@@ -486,32 +472,56 @@ func runWith(cfg RunConfig, rn *Runner) (*Result, error) {
 		required += compSizes[compOf[ar.Msg.Origin]]
 	}
 
-	res := &Result{Required: required, Engine: eng}
+	res := &Result{Required: required}
 	var st *runState
+	var arena *mac.Arena
 	if rn != nil {
-		st = &rn.st
-		if st.seen == nil {
-			st.seen = make(map[deliverKey]bool, required)
-			st.arrived = make(map[Msg]bool, k)
-		} else {
-			clear(st.seen)
-			clear(st.arrived)
-		}
+		st, arena = &rn.st, rn.arena
 	} else {
-		st = &runState{
-			seen:    make(map[deliverKey]bool, required),
-			arrived: make(map[Msg]bool, k),
-		}
+		st = new(runState)
 	}
-	st.res, st.eng, st.compOf = res, eng, compOf
-	st.required, st.halt = required, cfg.HaltOnCompletion
-	if rn != nil {
-		eng.Watch(rn.watch)
-	} else {
-		eng.Watch(st.onEvent)
+	st.reset(res, compOf, required, k, cfg.HaltOnCompletion)
+	var sink sim.TraceSink
+	if cfg.Options.Trace == TraceStream {
+		sink = cfg.Options.Sink
 	}
+	eng := runEngine(&cfg, st, cfg.Scheduler, arena, sink, nil, arrivals)
+	res.Engine = eng
+	if cfg.Options.Trace == TraceMemory {
+		res.Trace = eng.Trace()
+	}
+	return res, nil
+}
 
-	eng.Start()
+// runEngine is the per-engine half shared by the single-engine executor and
+// each component shard: it builds one engine on cfg's network, attaches the
+// completion watcher st (already reset), starts nodes (all of them when
+// nodes is nil), posts arrivals, runs to completion or the horizon, and
+// fills st.res with the execution's scalars and — under Options.Check — its
+// model-check report. Trace events go to sink, or to the engine's memory
+// trace when sink is nil and tracing is on.
+func runEngine(cfg *RunConfig, st *runState, sched mac.Scheduler, arena *mac.Arena,
+	sink sim.TraceSink, nodes []mac.NodeID, arrivals []Arrival) *mac.Engine {
+	eng := mac.NewEngine(mac.Config{
+		Dual:      cfg.Dual,
+		Fack:      cfg.Fack,
+		Fprog:     cfg.Fprog,
+		Scheduler: sched,
+		Mode:      cfg.Mode,
+		Seed:      cfg.Seed,
+		EpsAbort:  cfg.EpsAbort,
+		NoTrace:   cfg.Options.Trace == TraceOff,
+		Sink:      sink,
+		Arena:     arena,
+	}, cfg.Automata)
+	st.eng = eng
+	eng.Watch(st.watch)
+
+	if nodes == nil {
+		eng.Start()
+	} else {
+		eng.StartNodes(nodes)
+	}
 	for _, ar := range arrivals {
 		eng.Arrive(ar.Node, ar.Msg.Payload(), ar.At)
 	}
@@ -519,12 +529,10 @@ func runWith(cfg RunConfig, rn *Runner) (*Result, error) {
 	eng.Sim().SetStepLimit(cfg.StepLimit)
 	eng.Run()
 
+	res := st.res
 	res.End = eng.Sim().Now()
 	res.Steps = eng.Sim().Steps()
 	res.Broadcasts = len(eng.Instances())
-	if cfg.Options.Trace == TraceMemory {
-		res.Trace = eng.Trace()
-	}
 	if cfg.Options.Check {
 		res.Report = check.All(cfg.Dual, eng.Instances(), check.Params{
 			Fack:     cfg.Fack,
@@ -533,13 +541,13 @@ func runWith(cfg RunConfig, rn *Runner) (*Result, error) {
 			End:      res.End,
 		})
 		// Defense in depth: re-derive the MMB problem conditions from the
-		// trace with the generic checker (the watcher above catches them
-		// online; this validates the full recorded history).
+		// trace with the generic checker (the watcher catches them online;
+		// this validates the full recorded history).
 		check.MMB(res.Report, eng.Trace().Events(), check.MMBParams{
 			DeliverKind: DeliverKind,
 		})
 	}
-	return res, nil
+	return eng
 }
 
 // MustRun is Run with the pre-redesign fail-fast contract: it panics on an

@@ -19,16 +19,10 @@ import (
 // suite.
 
 // compResult is what one component shard's execution leaves behind after
-// its pooled engine has been recycled for the worker's next component.
+// its pooled engine has been recycled for the worker's next component: the
+// component's Result (Engine and Trace unset) and its trace events.
 type compResult struct {
-	delivered  int
-	solved     bool
-	completion sim.Time
-	end        sim.Time
-	steps      uint64
-	broadcasts int
-	violations []string
-	report     *check.Report
+	Result
 	// events is the component's trace, copied out of the pooled engine
 	// (empty under TraceOff). Within a component events are time-ordered.
 	events []sim.TraceEvent
@@ -102,8 +96,8 @@ func runSharded(cfg RunConfig, rn *Runner, gpOf, gpSizes []int) (*Result, error)
 			// flag it runs to quiescence like every other component.
 			return
 		}
-		results[c] = runComponent(cfg, arenas[w],
-			nodesByComp[off[c]:off[c+1]], arrByComp[c], reqByComp[c], compOf)
+		runComponent(&cfg, arenas[w], nodesByComp[off[c]:off[c+1]], arrByComp[c],
+			reqByComp[c], compOf, &results[c])
 	})
 
 	// Merge in component order.
@@ -111,17 +105,17 @@ func runSharded(cfg RunConfig, rn *Runner, gpOf, gpSizes []int) (*Result, error)
 	solved := required > 0
 	for c := range results {
 		cr := &results[c]
-		res.Delivered += cr.delivered
-		res.Steps += cr.steps
-		res.Broadcasts += cr.broadcasts
-		res.MMBViolations = append(res.MMBViolations, cr.violations...)
-		if cr.end > res.End {
-			res.End = cr.end
+		res.Delivered += cr.Delivered
+		res.Steps += cr.Steps
+		res.Broadcasts += cr.Broadcasts
+		res.MMBViolations = append(res.MMBViolations, cr.MMBViolations...)
+		if cr.End > res.End {
+			res.End = cr.End
 		}
 		if reqByComp[c] > 0 {
-			solved = solved && cr.solved
-			if cr.completion > res.CompletionTime {
-				res.CompletionTime = cr.completion
+			solved = solved && cr.Solved
+			if cr.CompletionTime > res.CompletionTime {
+				res.CompletionTime = cr.CompletionTime
 			}
 		}
 	}
@@ -132,7 +126,7 @@ func runSharded(cfg RunConfig, rn *Runner, gpOf, gpSizes []int) (*Result, error)
 	if cfg.Options.Check {
 		res.Report = &check.Report{}
 		for c := range results {
-			if r := results[c].report; r != nil {
+			if r := results[c].Report; r != nil {
 				res.Report.Violations = append(res.Report.Violations, r.Violations...)
 			}
 		}
@@ -156,63 +150,15 @@ func runSharded(cfg RunConfig, rn *Runner, gpOf, gpSizes []int) (*Result, error)
 
 // runComponent executes the nodes of one G′ component on a fresh engine
 // acquisition from the worker's arena and copies everything the merge needs
-// out of the pooled state.
-func runComponent(cfg RunConfig, arena *mac.Arena, nodes []mac.NodeID, arrivals []Arrival, required int, compOf []int) compResult {
-	mcfg := mac.Config{
-		Dual:      cfg.Dual,
-		Fack:      cfg.Fack,
-		Fprog:     cfg.Fprog,
-		Scheduler: cfg.NewScheduler(),
-		Mode:      cfg.Mode,
-		Seed:      cfg.Seed,
-		EpsAbort:  cfg.EpsAbort,
-		NoTrace:   cfg.Options.Trace == TraceOff,
-		Arena:     arena,
-	}
-	eng := mac.NewEngine(mcfg, cfg.Automata)
-
-	res := &Result{Required: required}
-	st := runState{
-		res:      res,
-		eng:      eng,
-		compOf:   compOf,
-		required: required,
-		halt:     cfg.HaltOnCompletion,
-		seen:     make(map[deliverKey]bool, required),
-		arrived:  make(map[Msg]bool, len(arrivals)),
-	}
-	eng.Watch(st.onEvent)
-
-	eng.StartNodes(nodes)
-	for _, ar := range arrivals {
-		eng.Arrive(ar.Node, ar.Msg.Payload(), ar.At)
-	}
-	eng.Sim().SetHorizon(cfg.Horizon)
-	eng.Sim().SetStepLimit(cfg.StepLimit)
-	eng.Run()
-
-	cr := compResult{
-		delivered:  res.Delivered,
-		solved:     res.Solved,
-		completion: res.CompletionTime,
-		end:        eng.Sim().Now(),
-		steps:      eng.Sim().Steps(),
-		broadcasts: len(eng.Instances()),
-		violations: res.MMBViolations,
-	}
+// out of the pooled state into cr.
+func runComponent(cfg *RunConfig, arena *mac.Arena, nodes []mac.NodeID, arrivals []Arrival,
+	required int, compOf []int, cr *compResult) {
+	var st runState
+	st.reset(&cr.Result, compOf, required, len(arrivals), cfg.HaltOnCompletion)
+	eng := runEngine(cfg, &st, cfg.NewScheduler(), arena, nil, nodes, arrivals)
 	if cfg.Options.Trace != TraceOff {
 		cr.events = append(cr.events, eng.Trace().Events()...)
 	}
-	if cfg.Options.Check {
-		cr.report = check.All(cfg.Dual, eng.Instances(), check.Params{
-			Fack:     cfg.Fack,
-			Fprog:    cfg.Fprog,
-			EpsAbort: cfg.EpsAbort,
-			End:      cr.end,
-		})
-		check.MMB(cr.report, cr.events, check.MMBParams{DeliverKind: DeliverKind})
-	}
-	return cr
 }
 
 // mergeTraces k-way merges the per-component event streams into sink,

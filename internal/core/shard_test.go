@@ -178,14 +178,14 @@ func TestRunOptionsValidate(t *testing.T) {
 		{"stream", RunOptions{Trace: TraceStream, Sink: &sink}, ""},
 		{"off", RunOptions{Trace: TraceOff}, ""},
 		{"sharded", RunOptions{Shards: 4}, ""},
-		{"windowed", RunOptions{Shards: 2, Regions: 8}, ""},
 		{"stream without sink", RunOptions{Trace: TraceStream}, "requires a Sink"},
 		{"sink without stream", RunOptions{Sink: &sink}, "only Trace=stream"},
 		{"check+stream", RunOptions{Trace: TraceStream, Sink: &sink, Check: true}, "Check requires Trace=memory"},
 		{"check+off", RunOptions{Trace: TraceOff, Check: true}, "Check requires Trace=memory"},
 		{"negative shards", RunOptions{Shards: -1}, "negative Shards"},
-		{"negative regions", RunOptions{Regions: -1}, "negative Regions"},
-		{"regions without shards", RunOptions{Regions: 4}, "requires Shards >= 1"},
+		{"removed regions", RunOptions{Shards: 2, Regions: 8}, "windowed-region executor was removed"},
+		{"removed regions, legacy executor", RunOptions{Regions: 1}, "windowed-region executor was removed"},
+		{"negative regions", RunOptions{Regions: -1}, "windowed-region executor was removed"},
 	}
 	for _, tc := range cases {
 		err := tc.opts.Validate()

@@ -36,6 +36,7 @@ func MessageComplexity(o Options) *Table {
 	}
 	type trial struct {
 		bB, fB, fAbort, fGrey float64
+		steps                 uint64
 	}
 	model := scenario.ModelSpec{Fprog: int64(o.Fprog), Fack: int64(o.Fack)}
 	res := collectTrials(o, len(pts), func(pi int, seed int64) trial {
@@ -75,6 +76,7 @@ func MessageComplexity(o Options) *Table {
 			fB:     float64(fmm.TotalInstances),
 			fAbort: float64(fmm.Aborted),
 			fGrey:  float64(fmm.GreyDeliveries),
+			steps:  bm.Result.Steps + fm.Result.Steps,
 		}
 	})
 	for pi, p := range pts {
@@ -84,6 +86,7 @@ func MessageComplexity(o Options) *Table {
 			fB += tr.fB
 			fAbort += tr.fAbort
 			fGrey += tr.fGrey
+			t.SimEvents += tr.steps
 		}
 		tr := float64(o.Trials)
 		bB, fB, fAbort, fGrey = bB/tr, fB/tr, fAbort/tr, fGrey/tr

@@ -383,6 +383,7 @@ func AblationFackRatio(o Options) *Table {
 	workload := scenario.WorkloadSpec{Kind: scenario.WorkloadSingleton, K: k}
 	type trial struct {
 		bmmb, fmmb float64
+		steps      uint64
 	}
 	// The topology is pinned by its seed: one instance serves every trial.
 	built, err := scenario.BuildTopology(scenario.Spec{Topology: topo}, o.Seed)
@@ -407,8 +408,9 @@ func AblationFackRatio(o Options) *Table {
 			Run:       scenario.RunSpec{Check: o.Check},
 		}, seed, built)
 		return trial{
-			bmmb: float64(bm.Result.CompletionTime),
-			fmmb: float64(fm.Result.CompletionTime),
+			bmmb:  float64(bm.Result.CompletionTime),
+			fmmb:  float64(fm.Result.CompletionTime),
+			steps: bm.Result.Steps + fm.Result.Steps,
 		}
 	})
 	var bs, fs []float64
@@ -417,6 +419,7 @@ func AblationFackRatio(o Options) *Table {
 		for _, tr := range res[pi] {
 			bm += tr.bmmb
 			fm += tr.fmmb
+			t.SimEvents += tr.steps
 		}
 		bm /= float64(o.Trials)
 		fm /= float64(o.Trials)
@@ -447,7 +450,6 @@ func mustTrialOn(s scenario.Spec, seed int64, built *topology.Built) *scenario.T
 	if err != nil {
 		panic(fmt.Sprintf("harness: %v", err))
 	}
-	countSimEvents(tr.Result.Steps)
 	if !tr.Result.Solved {
 		panic(fmt.Sprintf("harness: %s failed on %s seed %d (%d/%d delivered by %v)",
 			s.Algorithm.Name, tr.Built.Dual.Name, seed,
@@ -479,6 +481,7 @@ func MISExperiment(o Options) *Table {
 	type trial struct {
 		misSize, greedySize, decideRounds, schedRounds float64
 		valid                                          bool
+		steps                                          uint64
 	}
 	res := collectTrials(o, len(sizes), func(pi int, seed int64) trial {
 		n := sizes[pi]
@@ -489,8 +492,9 @@ func MISExperiment(o Options) *Table {
 			panic(fmt.Sprintf("harness: %v", err))
 		}
 		d := built.Dual
-		set, decideAt, total := runMIS(o, d, c, seed)
+		set, decideAt, total, steps := runMIS(o, d, c, seed)
 		return trial{
+			steps:        steps,
 			misSize:      float64(len(set)),
 			greedySize:   float64(len(d.G.GreedyMIS())),
 			decideRounds: float64(decideAt) / float64(o.Fprog),
@@ -505,6 +509,7 @@ func MISExperiment(o Options) *Table {
 			if !tr.valid {
 				valid = false
 			}
+			t.SimEvents += tr.steps
 			misSize += tr.misSize
 			greedySize += tr.greedySize
 			decideRounds += tr.decideRounds
@@ -542,6 +547,7 @@ func SubroutineExperiment(o Options) *Table {
 	}
 	type trial struct {
 		gUsed, gBudget, sUsed, sBudget float64
+		steps                          uint64
 	}
 	res := collectTrials(o, len(ks), func(pi int, seed int64) trial {
 		k := ks[pi]
@@ -551,12 +557,13 @@ func SubroutineExperiment(o Options) *Table {
 			panic(fmt.Sprintf("harness: %v", err))
 		}
 		a := core.Singleton(built.Dual.N(), sources(built.Dual.N(), k))
-		gu, gb, su, sb := runStages(o, built.Dual, c, a, seed)
-		return trial{gUsed: gu, gBudget: gb, sUsed: su, sBudget: sb}
+		gu, gb, su, sb, steps := runStages(o, built.Dual, c, a, seed)
+		return trial{gUsed: gu, gBudget: gb, sUsed: su, sBudget: sb, steps: steps}
 	})
 	for pi, k := range ks {
 		var gUsed, gBudget, sUsed, sBudget float64
 		for _, tr := range res[pi] {
+			t.SimEvents += tr.steps
 			gUsed += tr.gUsed
 			gBudget = tr.gBudget
 			sUsed += tr.sUsed

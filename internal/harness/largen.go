@@ -45,8 +45,9 @@ func largeNSide(n int) float64 {
 // crossover column reports the Fack/Fprog ratio above which BMMB's k·Fack
 // term exceeds FMMB's Fack-free polylog schedule — the paper's argument
 // for the enhanced model, at pod scale. BMMB rows stream their traces to
-// disk through run.trace_file (the in-memory Trace is never materialized);
-// the FMMB rows run no_trace, as their ~10^9 events would be gigabytes.
+// disk under "trace": "stream" (the in-memory Trace is never materialized);
+// the FMMB rows run "trace": "off", as their ~10^9 events would be
+// gigabytes.
 func LargeNRGG(o Options) *Table {
 	o = o.withDefaults()
 	const c = 1.6
@@ -77,7 +78,7 @@ func LargeNRGG(o Options) *Table {
 				Algorithm: scenario.AlgorithmSpec{Name: "bmmb"},
 				Scheduler: scenario.SchedulerSpec{Name: "sync", Params: topology.Params{"rel": 0.5}},
 				Model:     model,
-				Run: scenario.RunSpec{Seed: o.Seed, Trials: 1,
+				Run: scenario.RunSpec{Seed: o.Seed, Trials: 1, Trace: "stream",
 					TraceFile: filepath.Join(dir, fmt.Sprintf("bmmb-rgg-%d.amtr", n))},
 			},
 			scenario.Spec{
@@ -85,7 +86,7 @@ func LargeNRGG(o Options) *Table {
 				Workload:  workload,
 				Algorithm: scenario.AlgorithmSpec{Name: "fmmb", Params: topology.Params{"c": c}},
 				Model:     model,
-				Run:       scenario.RunSpec{Seed: o.Seed, Trials: 1, NoTrace: true},
+				Run:       scenario.RunSpec{Seed: o.Seed, Trials: 1, Trace: "off"},
 			})
 	}
 
@@ -116,7 +117,7 @@ func LargeNRGG(o Options) *Table {
 		var bmEv, fmEv uint64
 		for _, r := range []*scenario.Report{bm, fm} {
 			for _, tr := range r.Trials {
-				countSimEvents(tr.Result.Steps)
+				t.SimEvents += tr.Result.Steps
 				if !tr.Result.Solved {
 					panic(fmt.Sprintf("harness: %s failed on %s (%d/%d delivered by %v)",
 						r.Spec.Algorithm.Name, tr.Built.Dual.Name,
@@ -137,7 +138,7 @@ func LargeNRGG(o Options) *Table {
 	}
 	t.AddNote("one trial per point on a pinned draw; both algorithms share the instance")
 	t.AddNote("D~ is the sampled diameter estimate (k-source double sweep), the same input FMMB's schedule consumes")
-	t.AddNote("bmmb rows stream their trace to a binary file (run.trace_file); fmmb rows run no_trace")
+	t.AddNote("bmmb rows stream their trace to a binary file (run.trace=stream); fmmb rows run trace=off")
 	t.AddNote("fmmb completion has no Fack term (pinned by ablation-bmmb-vs-fmmb): past the crossover ratio, BMMB's k·Fack term loses to FMMB's polylog schedule")
 	return t
 }
@@ -246,7 +247,7 @@ func LargeNSharded(o Options) *Table {
 		one := reports[3*pi+1].Trials[0].Result
 		many := reports[3*pi+2].Trials[0].Result
 		for _, r := range []*core.Result{serial, one, many} {
-			countSimEvents(r.Steps)
+			t.SimEvents += r.Steps
 			if !r.Solved {
 				panic(fmt.Sprintf("harness: large-n-sharded: unsolved at n=%d (%d/%d delivered)",
 					n, r.Delivered, r.Required))

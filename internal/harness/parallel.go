@@ -1,10 +1,6 @@
 package harness
 
-import (
-	"sync/atomic"
-
-	"amac/internal/par"
-)
+import "amac/internal/par"
 
 // ParallelFor runs fn(i) for every i in [0, n) using up to p concurrent
 // workers and returns when all have finished; p <= 1 (or n <= 1) runs
@@ -46,18 +42,3 @@ func pointMeans(o Options, points int, run func(point int, seed int64) float64) 
 	}
 	return means
 }
-
-// simEvents accumulates simulation steps across all runs the harness
-// performs, for machine-readable throughput reporting (cmd/amacbench).
-var simEvents atomic.Uint64
-
-// countSimEvents is called by the run helpers with each finished
-// execution's step count.
-func countSimEvents(steps uint64) { simEvents.Add(steps) }
-
-// SimEvents returns the total number of simulation events processed by
-// harness-driven runs since process start (or the last ResetSimEvents).
-func SimEvents() uint64 { return simEvents.Load() }
-
-// ResetSimEvents zeroes the SimEvents counter.
-func ResetSimEvents() { simEvents.Store(0) }

@@ -79,7 +79,7 @@ func ServicePath(o Options) *Table {
 		}
 		for j, rt := range remote[i].Trials {
 			lt := local[i].Trials[j]
-			countSimEvents(rt.Result.Steps)
+			t.SimEvents += rt.Result.Steps
 			trials++
 			if rt.Result.Solved != lt.Result.Solved ||
 				rt.Result.CompletionTime != lt.Result.CompletionTime ||

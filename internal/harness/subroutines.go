@@ -10,9 +10,9 @@ import (
 )
 
 // runMIS executes the standalone MIS subroutine and returns the resulting
-// set, the time of the last membership decision, and the schedule length in
-// rounds.
-func runMIS(o Options, d *topology.Dual, c float64, seed int64) (set []graph.NodeID, decideAt sim.Time, totalRounds int) {
+// set, the time of the last membership decision, the schedule length in
+// rounds, and the simulation events the run took.
+func runMIS(o Options, d *topology.Dual, c float64, seed int64) (set []graph.NodeID, decideAt sim.Time, totalRounds int, steps uint64) {
 	cfg := core.MISConfig{N: d.N(), C: c}
 	autos := core.NewMISFleet(d.N(), cfg)
 	eng := mac.NewEngine(mac.Config{
@@ -31,19 +31,19 @@ func runMIS(o Options, d *topology.Dual, c float64, seed int64) (set []graph.Nod
 	eng.Start()
 	eng.Sim().SetHorizon(sim.Time(cfg.Rounds()+2) * o.Fprog)
 	eng.Run()
-	countSimEvents(eng.Sim().Steps())
 	for i, a := range autos {
 		if a.(*core.MISNode).InMIS() {
 			set = append(set, graph.NodeID(i))
 		}
 	}
-	return set, decideAt, cfg.Rounds()
+	return set, decideAt, cfg.Rounds(), eng.Sim().Steps()
 }
 
 // runStages executes a full FMMB run and reports per-stage usage:
 // gather periods until every message is MIS-owned vs. the gather budget,
-// and spread rounds until full dissemination vs. the spread budget.
-func runStages(o Options, d *topology.Dual, c float64, a core.Assignment, seed int64) (gatherUsed, gatherBudget, spreadUsed, spreadBudget float64) {
+// and spread rounds until full dissemination vs. the spread budget, plus the
+// simulation events the run took.
+func runStages(o Options, d *topology.Dual, c float64, a core.Assignment, seed int64) (gatherUsed, gatherBudget, spreadUsed, spreadBudget float64, steps uint64) {
 	cfg := core.FMMBConfig{N: d.N(), K: a.K(), D: d.G.Diameter(), C: c}
 	rc := cfg.Resolved()
 	autos := core.NewFMMBFleet(d.N(), cfg)
@@ -82,7 +82,6 @@ func runStages(o Options, d *topology.Dual, c float64, a core.Assignment, seed i
 	eng.Sim().SetHorizon(sim.Time(rc.Rounds()+2) * o.Fprog)
 	eng.Sim().SetStepLimit(1 << 62)
 	eng.Run()
-	countSimEvents(eng.Sim().Steps())
 
 	// Messages injected directly at MIS nodes are owned from the start;
 	// only gather hand-overs move lastOwn.
@@ -94,5 +93,5 @@ func runStages(o Options, d *topology.Dual, c float64, a core.Assignment, seed i
 		spreadUsed = float64(lastDeliver-spreadStart) / float64(o.Fprog)
 	}
 	spreadBudget = float64(rc.SpreadPhases * rc.SpreadPeriods * 3)
-	return gatherUsed, gatherBudget, spreadUsed, spreadBudget
+	return gatherUsed, gatherBudget, spreadUsed, spreadBudget, eng.Sim().Steps()
 }

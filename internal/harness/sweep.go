@@ -91,7 +91,7 @@ func RunSweep(o Options, def SweepDef) *Table {
 	}
 	for _, r := range reports {
 		for _, tr := range r.Trials {
-			countSimEvents(tr.Result.Steps)
+			t.SimEvents += tr.Result.Steps
 			if !tr.Result.Solved {
 				panic(fmt.Sprintf("harness: %s failed on %s (%d/%d delivered by %v)",
 					r.Spec.Algorithm.Name, tr.Built.Dual.Name,

@@ -28,6 +28,9 @@ type Table struct {
 	Rows [][]string
 	// Notes carries verdicts and fit summaries.
 	Notes []string
+	// SimEvents totals the simulation events of every execution behind the
+	// table: amacbench's throughput numerator. It is not rendered.
+	SimEvents uint64
 }
 
 // AddRow appends a data row; the cell count must match the columns.

@@ -38,19 +38,6 @@ type Config struct {
 	// every event; when none are registered either, the engine skips event
 	// construction altogether — the throughput fast path.
 	NoTrace bool
-	// Owns, when set, restricts the engine to a subset of the network's
-	// nodes: a delivery to a node for which Owns reports false keeps all
-	// sender-side bookkeeping (delivery slots, reliability accounting, the
-	// ack precondition) but skips the receiver's rcv event and automaton
-	// callback, handing the delivery to Export instead. The windowed
-	// parallel executor runs one engine per node region this way; nil (the
-	// default) owns every node.
-	Owns func(NodeID) bool
-	// Export receives every delivery intercepted by Owns: the delivery
-	// time, the receiver, and the instance identity and payload the owning
-	// engine needs to replay the rcv via InjectRecv. Required when Owns is
-	// set.
-	Export func(at sim.Time, to NodeID, inst InstanceID, sender NodeID, payload Payload)
 	// Arena, when set, must have been built for Dual (pointer identity)
 	// and makes construction reuse the arena's warm storage: pooled engine
 	// and node states, flat CSR delivery rows with O(1) position lookups,
@@ -178,11 +165,6 @@ const (
 	evTimer
 	// evSchedTimer routes (Obj, A, B) to the scheduler's OnTimer.
 	evSchedTimer
-	// evExtRecv replays a delivery exported by another engine shard: a rcv
-	// at node A of instance (B>>32) from sender uint32(B), payload P. The
-	// sender-side instance lives in the exporting engine, so the event
-	// carries the identity by value instead of an *Instance.
-	evExtRecv
 )
 
 type nodeState struct {
@@ -224,9 +206,6 @@ func NewEngine(cfg Config, automata []Automaton) *Engine {
 	}
 	if cfg.Mode == 0 {
 		cfg.Mode = Standard
-	}
-	if cfg.Owns != nil && cfg.Export == nil {
-		panic("mac: Config.Owns set without Config.Export")
 	}
 	if len(automata) != cfg.Dual.N() {
 		panic(fmt.Sprintf("mac: %d automata for %d nodes", len(automata), cfg.Dual.N()))
@@ -321,14 +300,6 @@ func (e *Engine) StartNodes(ids []NodeID) {
 	}
 }
 
-// InjectRecv schedules the replay of a delivery exported by another engine
-// shard: at time t, node to observes the rcv of instance inst from sender
-// with the given payload, exactly as if the owning engine had delivered it.
-// The sender-side instance state stays with the exporting engine.
-func (e *Engine) InjectRecv(t sim.Time, to NodeID, inst InstanceID, sender NodeID, payload Payload) {
-	e.sim.PostPayload(t, evExtRecv, payload, int64(to), int64(inst)<<32|int64(uint32(sender)))
-}
-
 // Arrive schedules an environment input (the MMB arrive event) for node v
 // at time t. The automaton must implement Arriver.
 func (e *Engine) Arrive(v NodeID, payload Payload, t sim.Time) {
@@ -385,14 +356,6 @@ func (e *Engine) Dispatch(kind sim.EventKind, op sim.Op) {
 		ns.automaton.(TimerHandler).Timer(ns, op.Obj)
 	case evSchedTimer:
 		e.timerSched.OnTimer(op.Obj, op.A, op.B)
-	case evExtRecv:
-		ns := &e.nodes[op.A]
-		inst := InstanceID(op.B >> 32)
-		sender := NodeID(uint32(op.B))
-		if e.recording() {
-			e.emit("rcv", ns.id, Int(int64(inst)))
-		}
-		ns.automaton.Recv(ns, Message{Instance: inst, Sender: sender, Payload: op.P})
 	default:
 		panic(fmt.Sprintf("mac: dispatch of unknown event kind %d", kind))
 	}
@@ -521,14 +484,6 @@ func (e *Engine) Deliver(b *Instance, to NodeID) {
 		}
 		e.checkDeliveryTerm(b, now)
 		b.MarkDelivered(to, now, e.cfg.Dual.G.HasEdge(b.Sender, to))
-	}
-	if e.cfg.Owns != nil && !e.cfg.Owns(to) {
-		// The receiver belongs to another engine shard: the sender-side
-		// bookkeeping above (delivery slot, reliability accounting) stays —
-		// it is what the ack precondition checks — but the rcv itself is
-		// exported for the owning engine to replay via InjectRecv.
-		e.cfg.Export(now, to, b.ID, b.Sender, b.Payload)
-		return
 	}
 	if e.recording() {
 		e.emit("rcv", to, Int(int64(b.ID)))

@@ -3,6 +3,7 @@ package scenario
 import (
 	"testing"
 
+	"amac/internal/core"
 	"amac/internal/topology"
 )
 
@@ -21,7 +22,7 @@ func warmPinnedSpec() Spec {
 		Algorithm: AlgorithmSpec{Name: "bmmb"},
 		Scheduler: SchedulerSpec{Name: "sync", Params: topology.Params{"rel": 0.5}},
 		Model:     ModelSpec{Fprog: 10, Fack: 200},
-		Run:       RunSpec{Seed: 1, Trials: 2, NoTrace: true},
+		Run:       RunSpec{Seed: 1, Trials: 2, Trace: "off"},
 	}.WithDefaults()
 }
 
@@ -39,12 +40,9 @@ func TestWarmTrialAllocationCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := newWarmRun(r, built, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := &trialWorker{spec: r, pin: &pinnedDraw{built: built, proto: core.NewRunner(built.Dual)}}
 	run := func() {
-		tr, err := w.trial(r.Run.Seed+1, 0)
+		tr, err := w.trial(r.Run.Seed+1, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,13 +79,13 @@ func TestUnpinnedWarmTrialAllocationBound(t *testing.T) {
 		Algorithm: AlgorithmSpec{Name: "bmmb"},
 		Scheduler: SchedulerSpec{Name: "sync", Params: topology.Params{"rel": 0.5}},
 		Model:     ModelSpec{Fprog: 10, Fack: 200},
-		Run:       RunSpec{Seed: 1, Trials: 2, NoTrace: true},
+		Run:       RunSpec{Seed: 1, Trials: 2, Trace: "off"},
 	}.WithDefaults()
-	w := newWarmRandRun(r, 1)
+	w := &trialWorker{spec: r}
 	seed := r.Run.Seed
 	run := func() {
 		seed++
-		tr, err := w.trial(seed, 0, false)
+		tr, err := w.trial(seed, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,11 +8,12 @@ import (
 // event free-list floor in internal/sim.
 const fleetPoolFloor = 64
 
-// fleetPool caches built fleets by node count for the unpinned warm path,
-// where successive trials on one worker draw networks of varying size. A
-// trial that needs a fleet of n automata takes the pooled one for n (if its
-// algorithm can Refit it to the new draw), resets it, and parks it again
-// afterwards; only size misses pay fleet construction.
+// fleetPool caches built fleets by node count for a trialWorker, whose
+// successive unpinned trials draw networks of varying size. A trial that
+// needs a fleet of n automata takes the pooled one for n (if its algorithm
+// can Refit it to the new draw), resets it, and parks it again afterwards;
+// only size misses pay fleet construction. Pinned trials always take back
+// the fleet of the one network they run on.
 //
 // The pool is bounded like the simulator's event free list: after each park,
 // pooled automata in excess of 2×live+fleetPoolFloor — live being the size
@@ -29,12 +30,13 @@ type fleetPool struct {
 }
 
 // fleetFor returns a fleet for the plan's draw: the pooled fleet of matching
-// size refitted and reset when possible, or a freshly built one.
-func (fp *fleetPool) fleetFor(p *trialPlan) ([]mac.Automaton, error) {
+// size, refitted to the draw when refit is set (a fleet pooled from the same
+// network needs none), reset, or a freshly built one.
+func (fp *fleetPool) fleetFor(p *trialPlan, refit bool) ([]mac.Automaton, error) {
 	n := p.built.Dual.N()
 	if fleet := fp.take(n); fleet != nil {
 		ok := true
-		if p.alg.Refit != nil {
+		if refit && p.alg.Refit != nil {
 			ok = p.alg.Refit(fleet, p.built.Dual, p.k, p.spec.Algorithm.Params)
 		}
 		if ok {
@@ -98,4 +100,15 @@ func (fp *fleetPool) put(fleet []mac.Automaton) {
 		}
 		fp.take(oldest)
 	}
+}
+
+// fleetResettable reports whether every automaton of the fleet can be
+// restored for reuse.
+func fleetResettable(fleet []mac.Automaton) bool {
+	for _, a := range fleet {
+		if _, ok := a.(mac.Resettable); !ok {
+			return false
+		}
+	}
+	return true
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -34,8 +35,8 @@ type TrialResult struct {
 	Workload *core.Workload
 	// SchedulerName is the resolved scheduler's self-description.
 	SchedulerName string
-	// Result is the execution outcome. When trials reuse a warm arena
-	// (pinned topology, NoArena unset), Result.Engine — and the trace it
+	// Result is the execution outcome. When trials reuse warm per-worker
+	// state (NoArena unset), Result.Engine — and the trace it
 	// backs, Result.Trace — is recycled by the next trial on the same
 	// worker: with Trials == 1 it stays valid, and the scalar fields and
 	// Report are always safe, but multi-trial callers that need per-trial
@@ -103,58 +104,22 @@ func (r *Report) Steps() uint64 {
 // Run validates the spec and executes its trials on a worker pool of
 // Run.Parallelism, returning per-trial results in seed order. Every trial is
 // an independent deterministic simulation keyed by its seed, so the report
-// is a pure function of the spec at any parallelism. Trials of a pinned
-// topology run against one warm run arena per worker (see warmRun); trials
-// of an unpinned (per-trial randomized) topology build into one warm
-// workspace-and-runner pair per worker (see warmRandRun). Run.NoArena
-// disables both kinds of reuse.
+// is a pure function of the spec at any parallelism. It is the sweep
+// pipeline over the one spec: trials run on warm per-worker state (see
+// trialWorker) unless Run.NoArena selects the cold path.
 func Run(s Spec) (*Report, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
 	r := s.WithDefaults()
-	// A pinned topology is identical across trials: build the read-only
-	// instance once and share it with the pool.
-	var shared *topology.Built
-	if topologyPinned(r) {
-		var err error
-		if shared, err = buildTopology(r, r.Run.Seed); err != nil {
-			return nil, err
-		}
+	p, err := newSweepPlan([]Spec{s}, SweepOptions{Parallelism: r.Run.Parallelism}, 0, -1)
+	if err != nil {
+		// Plan errors carry a spec-index label that says nothing for a
+		// single spec; report the bare cause.
+		return nil, errors.Unwrap(err)
 	}
-	workers := par.Workers(r.Run.Parallelism, r.Run.Trials)
-	var warm *warmRun
-	var warmRand *warmRandRun
-	switch {
-	case shared != nil && !r.Run.NoArena:
-		var err error
-		if warm, err = newWarmRun(r, shared, workers); err != nil {
-			return nil, fmt.Errorf("scenario: trial with seed %d: %w", r.Run.Seed, err)
-		}
-	case shared == nil && !r.Run.NoArena:
-		warmRand = newWarmRandRun(r, workers)
+	trials, task, err := p.run(r.Run.Parallelism, 0, r.Run.Trials)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: trial with seed %d: %w", r.Run.Seed+int64(task), err)
 	}
-	trials := make([]*TrialResult, r.Run.Trials)
-	errs := make([]error, r.Run.Trials)
-	par.ForWorker(r.Run.Parallelism, r.Run.Trials, func(worker, i int) {
-		seed := r.Run.Seed + int64(i)
-		switch {
-		case warm != nil:
-			trials[i], errs[i] = warm.trial(seed, worker)
-		case warmRand != nil:
-			trials[i], errs[i] = warmRand.trial(seed, worker, i == 0 || i == r.Run.Trials-1)
-		case shared != nil:
-			trials[i], errs[i] = trialOn(s, seed, shared)
-		default:
-			trials[i], errs[i] = Trial(s, seed)
-		}
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("scenario: trial with seed %d: %w", r.Run.Seed+int64(i), err)
-		}
-	}
-	return &Report{Spec: r, Trials: trials}, nil
+	return &Report{Spec: p.resolved[0], Trials: trials}, nil
 }
 
 // SweepOptions parameterizes Sweep beyond the spec grid itself.
@@ -162,10 +127,10 @@ type SweepOptions struct {
 	// Parallelism bounds concurrent (spec, trial) simulations; 0 or 1 runs
 	// sequentially. Reports are byte-identical at any value.
 	Parallelism int
-	// NoArena disables cross-trial arena and fleet reuse for pinned
-	// topologies across the whole sweep (per-spec Run.NoArena also
-	// applies). Executions are identical either way; this is the
-	// debugging escape hatch.
+	// NoArena disables cross-trial reuse of runners, workspaces and
+	// fleets across the whole sweep (per-spec Run.NoArena also applies).
+	// Executions are identical either way; this is the debugging escape
+	// hatch.
 	NoArena bool
 	// Progress, when set, is called after each completed trial with the
 	// cumulative number of trials finished so far in this call (1..total).
@@ -198,20 +163,20 @@ func SweepOffsets(specs []Spec) []int {
 	return offsets
 }
 
-// SweepWithOptions is Sweep with explicit options. Trials of each pinned-
-// topology spec share one warm run arena per (spec, worker) pair — pool-
-// local state that no two goroutines touch concurrently — so repeated
-// trials skip fleet construction and engine allocation while the parallel
-// reduction stays byte-identical.
+// SweepWithOptions is Sweep with explicit options. Trials of each spec run
+// on one trialWorker per (spec, worker) pair — pool-local state that no two
+// goroutines touch concurrently — so repeated trials skip fleet
+// construction and engine allocation while the parallel reduction stays
+// byte-identical.
 func SweepWithOptions(specs []Spec, o SweepOptions) ([]*Report, error) {
 	p, err := newSweepPlan(specs, o, 0, -1)
 	if err != nil {
 		return nil, err
 	}
 	total := p.offsets[len(specs)]
-	trials, err := p.run(o.Parallelism, 0, total)
+	trials, task, err := p.run(o.Parallelism, 0, total)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scenario: sweep task %d: %w", task, err)
 	}
 	out := make([]*Report, len(specs))
 	for i := range specs {
@@ -234,38 +199,43 @@ func SweepShard(specs []Spec, lo, hi int, o SweepOptions) ([]*TrialResult, error
 	if err != nil {
 		return nil, err
 	}
-	return p.run(o.Parallelism, lo, hi)
+	trials, task, err := p.run(o.Parallelism, lo, hi)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: sweep task %d: %w", task, err)
+	}
+	return trials, nil
 }
 
 // sweepPlan is the resolved execution plan of a sweep: every spec validated
 // and resolved, the flattened task-space offsets, and — for the task range
 // the caller will run — shared pinned topologies and per-worker warm state.
-// It is the single sweep pipeline behind SweepWithOptions (which runs the
-// full task space) and SweepShard (which runs a slice of it), so the two
-// cannot diverge.
+// It is the single pipeline behind Run (one spec), SweepWithOptions (the
+// full task space) and SweepShard (a slice of it), so they cannot diverge.
 type sweepPlan struct {
-	specs     []Spec // as passed (cold fallback paths re-resolve these)
-	resolved  []Spec
-	offsets   []int
-	shared    []*topology.Built
-	warms     []*warmRun
-	warmRands []*warmRandRun
-	progress  func(done int)
+	specs    []Spec // as passed (the cold path re-resolves these)
+	resolved []Spec
+	offsets  []int
+	// pinned holds the one network of each pinned spec; nil for unpinned
+	// specs and for specs outside the task range.
+	pinned []*topology.Built
+	// workers holds each warm spec's per-worker trial state, indexed by
+	// the pool's worker slot; nil runs the spec cold (NoArena).
+	workers  [][]*trialWorker
+	progress func(done int)
 }
 
 // newSweepPlan validates and resolves the specs and prepares warm state for
 // the specs whose trials intersect [lo, hi); hi < 0 selects the full task
-// space. Pinned topologies and warm arenas are only built for intersecting
+// space. Pinned topologies and warm workers are only built for intersecting
 // specs, so a narrow shard of a wide grid pays for its own slice only.
 func newSweepPlan(specs []Spec, o SweepOptions, lo, hi int) (*sweepPlan, error) {
 	p := &sweepPlan{
-		specs:     specs,
-		resolved:  make([]Spec, len(specs)),
-		offsets:   make([]int, len(specs)+1),
-		shared:    make([]*topology.Built, len(specs)),
-		warms:     make([]*warmRun, len(specs)),
-		warmRands: make([]*warmRandRun, len(specs)),
-		progress:  o.Progress,
+		specs:    specs,
+		resolved: make([]Spec, len(specs)),
+		offsets:  make([]int, len(specs)+1),
+		pinned:   make([]*topology.Built, len(specs)),
+		workers:  make([][]*trialWorker, len(specs)),
+		progress: o.Progress,
 	}
 	for i, s := range specs {
 		if err := s.Validate(); err != nil {
@@ -282,36 +252,39 @@ func newSweepPlan(specs []Spec, o SweepOptions, lo, hi int) (*sweepPlan, error) 
 		return nil, fmt.Errorf("scenario: shard [%d, %d) outside the sweep's task space [0, %d)", lo, hi, total)
 	}
 	workers := par.Workers(o.Parallelism, hi-lo)
-	for i := range specs {
+	for i, r := range p.resolved {
 		if p.offsets[i+1] <= lo || p.offsets[i] >= hi {
 			continue
 		}
-		if topologyPinned(p.resolved[i]) {
-			var err error
-			if p.shared[i], err = buildTopology(p.resolved[i], p.resolved[i].Run.Seed); err != nil {
+		var pin *pinnedDraw
+		if topologyPinned(r) {
+			built, err := buildTopology(r, r.Run.Seed)
+			if err != nil {
 				return nil, fmt.Errorf("scenario: spec %d (%s): %w", i, specs[i].Name, err)
 			}
+			p.pinned[i] = built
+			pin = &pinnedDraw{built: built}
 		}
-		if o.NoArena || p.resolved[i].Run.NoArena {
+		if o.NoArena || r.Run.NoArena {
 			continue
 		}
-		if p.shared[i] != nil {
-			var err error
-			if p.warms[i], err = newWarmRun(p.resolved[i], p.shared[i], workers); err != nil {
-				return nil, fmt.Errorf("scenario: spec %d (%s): %w", i, specs[i].Name, err)
-			}
-		} else {
-			p.warmRands[i] = newWarmRandRun(p.resolved[i], workers)
+		if pin != nil {
+			pin.proto = core.NewRunner(pin.built.Dual)
+		}
+		p.workers[i] = make([]*trialWorker, workers)
+		for w := range p.workers[i] {
+			p.workers[i][w] = &trialWorker{spec: r, pin: pin}
 		}
 	}
 	return p, nil
 }
 
 // run executes tasks [lo, hi) on a pool of the given parallelism and
-// returns their results in task order. Trial seeds are derived from the
-// global task index, never the shard-local one, so shard boundaries cannot
-// shift an execution.
-func (p *sweepPlan) run(parallelism, lo, hi int) ([]*TrialResult, error) {
+// returns their results in task order, or the global index of the first
+// failed task with its error. Trial seeds are derived from the global task
+// index, never the shard-local one, so shard boundaries cannot shift an
+// execution.
+func (p *sweepPlan) run(parallelism, lo, hi int) ([]*TrialResult, int, error) {
 	trials := make([]*TrialResult, hi-lo)
 	errs := make([]error, hi-lo)
 	var completed atomic.Int64
@@ -323,21 +296,17 @@ func (p *sweepPlan) run(parallelism, lo, hi int) ([]*TrialResult, error) {
 			si++
 		}
 		seed := p.resolved[si].Run.Seed + int64(task-p.offsets[si])
-		switch {
-		case p.warms[si] != nil:
-			trials[i], errs[i] = p.warms[si].trial(seed, worker)
-		case p.warmRands[si] != nil:
+		if ws := p.workers[si]; ws != nil {
 			// keepBuilt marks the first and last tasks this call runs for
 			// the spec: their instances build into stable storage so the
 			// returned TrialResults honor the Built contract (see
 			// TrialResult.Built) even when the range is a shard.
 			first := max(p.offsets[si], lo)
 			last := min(p.offsets[si+1], hi) - 1
-			trials[i], errs[i] = p.warmRands[si].trial(seed, worker,
-				task == first || task == last)
-		case p.shared[si] != nil:
-			trials[i], errs[i] = trialOn(p.specs[si], seed, p.shared[si])
-		default:
+			trials[i], errs[i] = ws[worker].trial(seed, task == first || task == last)
+		} else if built := p.pinned[si]; built != nil {
+			trials[i], errs[i] = trialOn(p.specs[si], seed, built)
+		} else {
 			trials[i], errs[i] = Trial(p.specs[si], seed)
 		}
 		if errs[i] == nil && p.progress != nil {
@@ -346,33 +315,10 @@ func (p *sweepPlan) run(parallelism, lo, hi int) ([]*TrialResult, error) {
 	})
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("scenario: sweep task %d: %w", lo+i, err)
+			return nil, lo + i, err
 		}
 	}
-	return trials, nil
-}
-
-// warmRun is the reusable trial context of one pinned-topology spec: the
-// shared trialPlan resolved once, plus per-worker warm state — each worker
-// of the trial pool owns a core.Runner (arena, pooled engine) and, when
-// the algorithm's automata implement mac.Resettable, a reusable fleet.
-// Repeated trials therefore skip fleet construction, engine allocation and
-// delivery-row allocation entirely.
-type warmRun struct {
-	*trialPlan
-
-	// proto is worker 0's runner and the Fork source for the rest: the
-	// CSR and component indexes are derived once per spec, not per
-	// worker. Forking reads only immutable state, so workers fork
-	// concurrently without locking.
-	proto *core.Runner
-	// Per-worker state, indexed by the pool's worker slot. A nil fleets
-	// entry means "build per trial" (first use, or automata that cannot
-	// Reset); a nil scheds entry means the worker has not built its
-	// scheduler yet (or the scheduler cannot Reset).
-	runners []*core.Runner
-	fleets  [][]mac.Automaton
-	scheds  []schedSlot
+	return trials, 0, nil
 }
 
 // schedSlot is a worker's cached scheduler together with its rendered
@@ -384,173 +330,124 @@ type schedSlot struct {
 	name string
 }
 
-// newWarmRun resolves the spec once (the same resolution a cold trial
-// performs) and allocates the per-worker slots.
-func newWarmRun(r Spec, built *topology.Built, workers int) (*warmRun, error) {
-	p, err := resolvePlan(r, built)
+// pinnedDraw is the one network of a pinned spec, shared read-only by the
+// spec's workers, with the runner prototype they fork: the CSR and
+// component indexes are derived once per spec, not per worker. Forking
+// reads only immutable state, so workers fork concurrently without locking.
+type pinnedDraw struct {
+	built *topology.Built
+	proto *core.Runner
+}
+
+// trialWorker is one pool worker's warm trial state for one spec: a
+// core.Runner rebound to each trial's network, the workspace unpinned draws
+// build into, the cached scheduler, a pool of resettable fleets and the
+// resolved trial plans interned by node count. Repeated trials therefore
+// skip graph, engine, delivery-row and (when the automata implement
+// mac.Resettable) fleet construction even though no two unpinned trials
+// share a network. A pinned spec is an unpinned one whose draw is cached:
+// every trial runs on pin's network, so its one plan is never rebound, its
+// runner is forked from pin's prototype, and its pooled fleet is reset
+// without a Refit.
+//
+// A worker serves one trial at a time; the pool gives every worker slot its
+// own trialWorker, so no locking is needed.
+type trialWorker struct {
+	spec  Spec        // resolved
+	pin   *pinnedDraw // nil when every trial draws a fresh network
+	rn    *core.Runner
+	ws    *topology.Workspace
+	sched schedSlot
+	fleet fleetPool
+	// plans interns resolved trial plans by drawn node count. Everything in
+	// a plan except the built instance and the horizon is a pure function
+	// of (spec, n) for the non-construction workload kinds, so a draw whose
+	// size the worker has seen before skips workload and payload
+	// re-derivation entirely (see planFor).
+	plans map[int]*trialPlan
+}
+
+// trial executes one seed on the worker's warm state. The execution is a
+// pure function of (spec, seed) — builds are byte-identical with and
+// without the workspace, and the rebound runner is byte-identical to a cold
+// core.Run — so results match the cold path at any parallelism. keepBuilt
+// marks an unpinned spec's first and final trials: they build into stable
+// storage instead of the recycled workspace, keeping the report's edge
+// instances valid after the sweep (see TrialResult.Built).
+func (w *trialWorker) trial(seed int64, keepBuilt bool) (*TrialResult, error) {
+	built, err := w.draw(seed, keepBuilt)
 	if err != nil {
 		return nil, err
 	}
-	return &warmRun{
-		trialPlan: p,
-		proto:     core.NewRunner(built.Dual),
-		runners:   make([]*core.Runner, workers),
-		fleets:    make([][]mac.Automaton, workers),
-		scheds:    make([]schedSlot, workers),
-	}, nil
+	switch {
+	case w.rn != nil:
+		w.rn.Rebind(built.Dual) // a no-op on the pinned network
+	case w.pin != nil:
+		w.rn = w.pin.proto.Fork()
+	default:
+		w.rn = core.NewRunner(built.Dual)
+	}
+	p, err := w.planFor(built)
+	if err != nil {
+		return nil, err
+	}
+	automata, err := w.fleet.fleetFor(p, w.pin == nil)
+	if err != nil {
+		return nil, err
+	}
+	res, err := p.execute(seed, automata, w.rn, &w.sched)
+	if err != nil {
+		return nil, err
+	}
+	w.fleet.put(automata)
+	return res, nil
 }
 
-// trial executes one seed on the given worker's warm runner. The execution
-// is a pure function of (spec, seed) — the worker index only selects which
-// pooled storage backs it — so results are byte-identical to a cold trial
-// at any parallelism.
-func (w *warmRun) trial(seed int64, worker int) (*TrialResult, error) {
-	rn := w.runners[worker]
-	if rn == nil {
-		if worker == 0 {
-			rn = w.proto
-		} else {
-			rn = w.proto.Fork()
-		}
-		w.runners[worker] = rn
+// draw returns the trial's network: the pinned one, or a fresh draw into
+// the worker's workspace (stable storage when keepBuilt).
+func (w *trialWorker) draw(seed int64, keepBuilt bool) (*topology.Built, error) {
+	switch {
+	case w.pin != nil:
+		return w.pin.built, nil
+	case keepBuilt:
+		return buildTopology(w.spec, seed)
 	}
-	automata := w.fleets[worker]
-	if automata != nil {
-		for _, a := range automata {
-			a.(mac.Resettable).Reset()
-		}
-	} else {
-		var err error
-		automata, err = w.newFleet()
-		if err != nil {
-			return nil, err
-		}
-		if fleetResettable(automata) {
-			w.fleets[worker] = automata
-		}
+	if w.ws == nil {
+		w.ws = topology.NewWorkspace()
 	}
-	return w.execute(seed, automata, rn, &w.scheds[worker])
-}
-
-// warmRandRun is the unpinned counterpart of warmRun: the per-worker warm
-// state of a spec whose topology is drawn fresh per trial. Each worker of
-// the trial pool owns a topology.Workspace (graph and embedding scratch the
-// per-trial builds emit into) and a core.Runner whose arena is rebound to
-// every draw, so repeated trials skip graph, engine and delivery-row
-// allocation even though no two trials share a network. The spec is
-// re-resolved and the fleet rebuilt per trial — both depend on the drawn
-// instance — exactly as on the cold path.
-type warmRandRun struct {
-	spec       Spec // resolved
-	workspaces []*topology.Workspace
-	runners    []*core.Runner
-	scheds     []schedSlot
-	pools      []fleetPool
-	// plans interns resolved trial plans by drawn node count, per worker.
-	// Everything in a plan except the built instance and the horizon is a
-	// pure function of (spec, n) for the non-construction workload kinds,
-	// so a draw whose size the worker has seen before skips workload and
-	// payload re-derivation entirely (see planFor).
-	plans []map[int]*trialPlan
-}
-
-// newWarmRandRun allocates the per-worker slots; workspaces and runners are
-// created lazily on each worker's first trial.
-func newWarmRandRun(r Spec, workers int) *warmRandRun {
-	return &warmRandRun{
-		spec:       r,
-		workspaces: make([]*topology.Workspace, workers),
-		runners:    make([]*core.Runner, workers),
-		scheds:     make([]schedSlot, workers),
-		pools:      make([]fleetPool, workers),
-		plans:      make([]map[int]*trialPlan, workers),
-	}
+	return buildTopologyInto(w.spec, seed, w.ws)
 }
 
 // planFor returns the worker's interned trial plan for the draw's node
-// count, rebound to the fresh instance, or resolves and interns a new one.
-// Interning is sound because every plan field other than the instance and
-// the horizon depends only on (spec, n): singleton origin placement is a
+// count, rebound to a fresh unpinned instance, or resolves and interns a new
+// one. Interning is sound because every plan field other than the instance
+// and the horizon depends only on (spec, n): singleton origin placement is a
 // function of n and K, single-source and explicit workloads only
 // bounds-check nodes against n, and the poisson stream is keyed by the
 // spec-level workload seed, which is constant across trials. Construction
-// workloads read the drawn artifact and are never interned — they only
-// arise on deterministic families, which take the pinned path anyway.
-func (w *warmRandRun) planFor(built *topology.Built, worker int) (*trialPlan, error) {
-	if w.spec.Workload.Kind == WorkloadConstruction {
+// workloads read the drawn artifact, so they are interned only on a pinned
+// network — the only place they arise, since they need deterministic
+// families.
+func (w *trialWorker) planFor(built *topology.Built) (*trialPlan, error) {
+	if w.pin == nil && w.spec.Workload.Kind == WorkloadConstruction {
 		return resolvePlan(w.spec, built)
 	}
 	n := built.Dual.N()
-	if p := w.plans[worker][n]; p != nil {
-		p.rebind(built)
+	if p := w.plans[n]; p != nil {
+		if w.pin == nil {
+			p.rebind(built)
+		}
 		return p, nil
 	}
 	p, err := resolvePlan(w.spec, built)
 	if err != nil {
 		return nil, err
 	}
-	if w.plans[worker] == nil {
-		w.plans[worker] = make(map[int]*trialPlan)
+	if w.plans == nil {
+		w.plans = make(map[int]*trialPlan)
 	}
-	w.plans[worker][n] = p
+	w.plans[n] = p
 	return p, nil
-}
-
-// trial executes one seed on the given worker's warm state. The execution
-// is a pure function of (spec, seed) — builds are byte-identical with and
-// without the workspace, and the rebound runner is byte-identical to a cold
-// core.Run — so results match the cold path at any parallelism. keepBuilt
-// marks the spec's first and final trials: they build into stable storage
-// instead of the recycled workspace, keeping the report's edge instances
-// valid after the sweep (see TrialResult.Built).
-func (w *warmRandRun) trial(seed int64, worker int, keepBuilt bool) (*TrialResult, error) {
-	var built *topology.Built
-	var err error
-	if keepBuilt {
-		built, err = buildTopology(w.spec, seed)
-	} else {
-		ws := w.workspaces[worker]
-		if ws == nil {
-			ws = topology.NewWorkspace()
-			w.workspaces[worker] = ws
-		}
-		built, err = buildTopologyInto(w.spec, seed, ws)
-	}
-	if err != nil {
-		return nil, err
-	}
-	rn := w.runners[worker]
-	if rn == nil {
-		rn = core.NewRunner(built.Dual)
-		w.runners[worker] = rn
-	} else {
-		rn.Rebind(built.Dual)
-	}
-	p, err := w.planFor(built, worker)
-	if err != nil {
-		return nil, err
-	}
-	automata, err := w.pools[worker].fleetFor(p)
-	if err != nil {
-		return nil, err
-	}
-	res, err := p.execute(seed, automata, rn, &w.scheds[worker])
-	if err != nil {
-		return nil, err
-	}
-	w.pools[worker].put(automata)
-	return res, nil
-}
-
-// fleetResettable reports whether every automaton of the fleet can be
-// restored for reuse.
-func fleetResettable(fleet []mac.Automaton) bool {
-	for _, a := range fleet {
-		if _, ok := a.(mac.Resettable); !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // Trial executes one seed of the scenario: build the topology (seeded per
@@ -650,7 +547,7 @@ func trialOn(s Spec, seed int64, built *topology.Built) (*TrialResult, error) {
 // resolved spec and its built network: the workload, payloads, algorithm,
 // horizon and step limit. It is the single spec-resolution pipeline behind
 // both the cold path (trialOn resolves one per trial) and the warm path
-// (warmRun resolves one per spec and reuses it), so the two cannot
+// (trialWorker interns one per drawn node count), so the two cannot
 // diverge.
 type trialPlan struct {
 	spec      Spec // resolved

@@ -9,8 +9,8 @@ import (
 )
 
 // TestRunSpecTraceMode walks the normalization table for the "run" block's
-// trace surface: the new explicit "trace" mode, the deprecated no_trace /
-// trace_file keys it replaces, and every illegal combination.
+// trace surface: the explicit "trace" mode, its trace_file pairing, the
+// removed bare trace_file key, and every illegal combination.
 func TestRunSpecTraceMode(t *testing.T) {
 	cases := []struct {
 		name string
@@ -24,19 +24,15 @@ func TestRunSpecTraceMode(t *testing.T) {
 		{"explicit off", RunSpec{Trace: "off"}, core.TraceOff, ""},
 		{"explicit stream", RunSpec{Trace: "stream", TraceFile: "t.jsonl"}, core.TraceStream, ""},
 		{"memory+check", RunSpec{Trace: "memory", Check: true}, core.TraceMemory, ""},
-		// Deprecated keys, legacy precedence preserved.
-		{"legacy no_trace", RunSpec{NoTrace: true}, core.TraceOff, ""},
-		{"legacy no_trace yields to check", RunSpec{NoTrace: true, Check: true}, core.TraceMemory, ""},
-		{"legacy trace_file", RunSpec{TraceFile: "t.jsonl"}, core.TraceStream, ""},
 		// Illegal combinations.
 		{"unknown mode", RunSpec{Trace: "ndjson"}, 0, "unknown trace mode"},
-		{"trace conflicts with no_trace", RunSpec{Trace: "off", NoTrace: true}, 0, "no_trace is deprecated"},
 		{"check+off", RunSpec{Trace: "off", Check: true}, 0, "check requires trace=memory"},
 		{"check+stream", RunSpec{Trace: "stream", TraceFile: "t.jsonl", Check: true}, 0, "check requires trace=memory"},
 		{"stream without file", RunSpec{Trace: "stream"}, 0, "requires trace_file"},
 		{"file without stream", RunSpec{Trace: "memory", TraceFile: "t.jsonl"}, 0, "trace_file requires trace=stream"},
-		{"legacy file+check", RunSpec{TraceFile: "t.jsonl", Check: true}, 0, "incompatible with check"},
-		{"legacy file+no_trace", RunSpec{TraceFile: "t.jsonl", NoTrace: true}, 0, "incompatible with no_trace"},
+		// The removed bare trace_file key fails with a migration error.
+		{"bare trace_file", RunSpec{TraceFile: "t.jsonl"}, 0, `add "trace": "stream"`},
+		{"bare trace_file+check", RunSpec{TraceFile: "t.jsonl", Check: true}, 0, `add "trace": "stream"`},
 	}
 	for _, tc := range cases {
 		mode, err := tc.run.TraceMode()
@@ -54,9 +50,9 @@ func TestRunSpecTraceMode(t *testing.T) {
 	}
 }
 
-// TestRunSpecParallelKeysRoundTrip pins JSON parity for the new run-block
-// keys: "trace", "shards" and "regions" survive a marshal/parse round trip,
-// so the JSON surface cannot drift from the Go surface.
+// TestRunSpecParallelKeysRoundTrip pins JSON parity for the run-block keys
+// "trace" and "shards": they survive a marshal/parse round trip, so the
+// JSON surface cannot drift from the Go surface.
 func TestRunSpecParallelKeysRoundTrip(t *testing.T) {
 	spec := Spec{
 		Name:      "parallel",
@@ -64,13 +60,13 @@ func TestRunSpecParallelKeysRoundTrip(t *testing.T) {
 		Workload:  WorkloadSpec{Kind: WorkloadSingleton, K: 2},
 		Algorithm: AlgorithmSpec{Name: "bmmb"},
 		Scheduler: SchedulerSpec{Name: "sync", Params: topology.Params{"rel": 0.5}},
-		Run:       RunSpec{Seed: 1, Trace: "off", Shards: 4, Regions: 8},
+		Run:       RunSpec{Seed: 1, Trace: "off", Shards: 4},
 	}
 	data, err := spec.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"trace": "off"`, `"shards": 4`, `"regions": 8`} {
+	for _, key := range []string{`"trace": "off"`, `"shards": 4`} {
 		if !strings.Contains(string(data), key) {
 			t.Errorf("marshaled spec is missing %s:\n%s", key, data)
 		}
@@ -79,7 +75,7 @@ func TestRunSpecParallelKeysRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Run.Trace != "off" || back.Run.Shards != 4 || back.Run.Regions != 8 {
+	if back.Run.Trace != "off" || back.Run.Shards != 4 {
 		t.Fatalf("round trip lost parallel keys: %+v", back.Run)
 	}
 	if err := back.WithDefaults().Validate(); err != nil {
@@ -87,8 +83,8 @@ func TestRunSpecParallelKeysRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunSpecValidateParallel pins the validation rules for the shards and
-// regions knobs at the scenario surface.
+// TestRunSpecValidateParallel pins the validation rules for the shards knob
+// and the removed regions knob at the scenario surface.
 func TestRunSpecValidateParallel(t *testing.T) {
 	base := Spec{
 		Topology:  TopologySpec{Name: "line", Params: topology.Params{"n": 8}},
@@ -102,8 +98,9 @@ func TestRunSpecValidateParallel(t *testing.T) {
 		want string
 	}{
 		{"negative shards", func(s *Spec) { s.Run.Shards = -1 }, "negative shards"},
-		{"negative regions", func(s *Spec) { s.Run.Regions = -2 }, "negative regions"},
-		{"regions without shards", func(s *Spec) { s.Run.Regions = 4 }, "requires shards >= 1"},
+		{"removed regions", func(s *Spec) { s.Run.Shards, s.Run.Regions = 1, 2 }, `windowed-region executor was removed; drop "regions"`},
+		{"removed regions, no shards", func(s *Spec) { s.Run.Regions = 1 }, `windowed-region executor was removed; drop "regions"`},
+		{"negative regions", func(s *Spec) { s.Run.Regions = -2 }, `windowed-region executor was removed; drop "regions"`},
 	}
 	for _, tc := range cases {
 		spec := base
@@ -124,14 +121,14 @@ func TestScenarioShardedWarmMatchesCold(t *testing.T) {
 		spec.Run.Shards = 2
 		t.Run(spec.Name, func(t *testing.T) {
 			r := spec.WithDefaults()
-			warm := newWarmRandRun(r, 1)
+			warm := &trialWorker{spec: r}
 			for seed := int64(1); seed <= 4; seed++ {
 				cold, err := Trial(spec, seed)
 				if err != nil {
 					t.Fatalf("cold trial seed %d: %v", seed, err)
 				}
 				want := trialSnapshot(cold)
-				tr, err := warm.trial(seed, 0, false)
+				tr, err := warm.trial(seed, false)
 				if err != nil {
 					t.Fatalf("warm trial seed %d: %v", seed, err)
 				}

@@ -71,7 +71,8 @@ func randSpec(rng *rand.Rand) Spec {
 			Trials:       rng.Intn(16),
 			Parallelism:  rng.Intn(8),
 			Check:        rng.Intn(2) == 0,
-			NoTrace:      rng.Intn(2) == 0,
+			Trace:        str("", "memory", "stream", "off"),
+			Shards:       rng.Intn(4),
 			ToQuiescence: rng.Intn(2) == 0,
 			Horizon:      rng.Int63n(1 << 30),
 			StepLimit:    uint64(rng.Int63n(1 << 40)),
@@ -124,6 +125,11 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	_, err := Parse([]byte(`{"topology": {"name": "line"}, "topolgy_typo": 3}`))
 	if err == nil {
 		t.Fatal("unknown field did not error")
+	}
+	// The removed no_trace key is just another unknown field now.
+	_, err = Parse([]byte(`{"topology": {"name": "line"}, "run": {"no_trace": true}}`))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "no_trace"`) {
+		t.Fatalf("no_trace: err = %v, want an unknown-field error", err)
 	}
 }
 
@@ -183,6 +189,8 @@ func TestValidateRejections(t *testing.T) {
 		{"negative trials", func(s *Spec) { s.Run.Trials = -3 }, "trials"},
 		{"negative parallelism", func(s *Spec) { s.Run.Parallelism = -1 }, "parallelism"},
 		{"negative horizon", func(s *Spec) { s.Run.Horizon = -1 }, "negative horizon"},
+		{"removed regions", func(s *Spec) { s.Run.Shards, s.Run.Regions = 1, 2 }, `drop "regions"`},
+		{"bare trace_file", func(s *Spec) { s.Run.TraceFile = "out.amtr" }, `"trace": "stream"`},
 	}
 	for _, tc := range cases {
 		s := valid()
@@ -233,6 +241,18 @@ func TestCheckedInScenarioFiles(t *testing.T) {
 		}
 		if s.Name == "" || s.Description == "" {
 			t.Errorf("%s: checked-in scenarios must carry name and description", path)
+		}
+		// The 10^5-node files belong to the gated large-n smoke run; every
+		// other file must solve all its trials, in whatever execution and
+		// trace mode it selects.
+		if strings.HasPrefix(filepath.Base(path), "large-n-") {
+			continue
+		}
+		rep, err := Run(s)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+		} else if rep.Solved() != len(rep.Trials) {
+			t.Errorf("%s: %d of %d trials solved", path, rep.Solved(), len(rep.Trials))
 		}
 	}
 }

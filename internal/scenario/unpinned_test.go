@@ -9,7 +9,7 @@ import (
 
 // unpinnedSpecs returns multi-trial scenarios over randomized families with
 // no pinned seed, so every trial draws a fresh network: the regime the
-// warmRandRun (workspace + rebound runner) path serves.
+// unpinned trialWorker (workspace + rebound runner) serves.
 func unpinnedSpecs(trials int) []Spec {
 	return []Spec{
 		{
@@ -62,14 +62,14 @@ func TestUnpinnedWarmMatchesCold(t *testing.T) {
 	for _, spec := range unpinnedSpecs(1) {
 		t.Run(spec.Name, func(t *testing.T) {
 			r := spec.WithDefaults()
-			warm := newWarmRandRun(r, 1)
+			warm := &trialWorker{spec: r}
 			for seed := int64(1); seed <= 6; seed++ {
 				cold, err := Trial(spec, seed)
 				if err != nil {
 					t.Fatalf("cold trial seed %d: %v", seed, err)
 				}
 				want := trialSnapshot(cold)
-				tr, err := warm.trial(seed, 0, false)
+				tr, err := warm.trial(seed, false)
 				if err != nil {
 					t.Fatalf("warm trial seed %d: %v", seed, err)
 				}
