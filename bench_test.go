@@ -298,10 +298,10 @@ func BenchmarkEngineThroughputSparse(b *testing.B) {
 
 // BenchmarkSweepPinnedTopology measures repeated trials of one pinned
 // topology through scenario.Sweep — the shape of every figure sweep in this
-// repo — with the warm run-arena path on (default) and off (the -no-arena
-// escape hatch). B/op is the headline metric: warm trials reuse the fleet,
-// the engine and its node states, the flat CSR delivery rows and the trace
-// buffer, so per-trial allocation collapses to per-event work.
+// repo — on the warm run-arena path, against one cold scenario.Trial per
+// seed. B/op is the headline metric: warm trials reuse the network, the
+// fleet, the engine and its node states, the flat CSR delivery rows and the
+// trace buffer, so per-trial allocation collapses to per-event work.
 func BenchmarkSweepPinnedTopology(b *testing.B) {
 	spec := scenario.Spec{
 		Name: "pinned-rline-sweep",
@@ -316,31 +316,14 @@ func BenchmarkSweepPinnedTopology(b *testing.B) {
 		Model:     scenario.ModelSpec{Fprog: 10, Fack: 200},
 		Run:       scenario.RunSpec{Seed: 1, Trials: 16},
 	}
-	for _, mode := range []struct {
-		name    string
-		noArena bool
-	}{{"arena", false}, {"cold", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				reports, err := scenario.SweepWithOptions([]scenario.Spec{spec},
-					scenario.SweepOptions{Parallelism: 1, NoArena: mode.noArena})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got := reports[0].Solved(); got != spec.Run.Trials {
-					b.Fatalf("%d/%d trials solved", got, spec.Run.Trials)
-				}
-			}
-		})
-	}
+	benchWarmVsCold(b, spec)
 }
 
 // BenchmarkSweepRandomTopology measures repeated trials of an *unpinned*
 // randomized topology through scenario.Sweep — every trial draws a fresh
-// grey-zone geometric network — with the warm per-worker path on (default:
-// workspace-built graphs, rebound run arena) and off (-no-arena). B/op is
-// the headline metric: warm trials emit the per-trial graphs into recycled
+// grey-zone geometric network — on the warm per-worker path (workspace-built
+// graphs, rebound run arena), against one cold scenario.Trial per seed. B/op
+// is the headline metric: warm trials emit the per-trial graphs into recycled
 // workspace storage and rebind one runner instead of building a cold engine,
 // so the per-trial cost collapses toward per-event work even though no two
 // trials share a network.
@@ -357,24 +340,40 @@ func BenchmarkSweepRandomTopology(b *testing.B) {
 		Model:     scenario.ModelSpec{Fprog: 10, Fack: 200},
 		Run:       scenario.RunSpec{Seed: 1, Trials: 16},
 	}
-	for _, mode := range []struct {
-		name    string
-		noArena bool
-	}{{"arena", false}, {"cold", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				reports, err := scenario.SweepWithOptions([]scenario.Spec{spec},
-					scenario.SweepOptions{Parallelism: 1, NoArena: mode.noArena})
+	benchWarmVsCold(b, spec)
+}
+
+// benchWarmVsCold runs the spec's trials as two sub-benchmarks: "arena",
+// one sequential scenario.SweepWithOptions call on warm per-worker state,
+// and "cold", one scenario.Trial per seed, which builds every network,
+// fleet and engine afresh.
+func benchWarmVsCold(b *testing.B, spec scenario.Spec) {
+	b.Run("arena", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			reports, err := scenario.SweepWithOptions([]scenario.Spec{spec}, scenario.SweepOptions{Parallelism: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if got := reports[0].Solved(); got != spec.Run.Trials {
+				b.Fatalf("%d/%d trials solved", got, spec.Run.Trials)
+			}
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for tr := 0; tr < spec.Run.Trials; tr++ {
+				res, err := scenario.Trial(spec, spec.Run.Seed+int64(tr))
 				if err != nil {
 					b.Fatal(err)
 				}
-				if got := reports[0].Solved(); got != spec.Run.Trials {
-					b.Fatalf("%d/%d trials solved", got, spec.Run.Trials)
+				if !res.Result.Solved {
+					b.Fatalf("trial %d unsolved", tr)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkHarnessParallelism measures experiment wall-time scaling with

@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"amac/internal/scenario"
 )
 
 func quickOpts() Options {
@@ -116,4 +118,51 @@ func TestTableRowMismatchPanics(t *testing.T) {
 	}()
 	tab := &Table{Columns: []string{"a"}}
 	tab.AddRow("1", "2")
+}
+
+// coldSweeper runs every (spec, seed) of an experiment's grid through
+// scenario.Trial — a fresh topology, fleet and engine per trial, the
+// reference the warm sweep path is compared against.
+func coldSweeper(_ string, specs []scenario.Spec, _ scenario.SweepOptions) ([]*scenario.Report, error) {
+	out := make([]*scenario.Report, len(specs))
+	for i, s := range specs {
+		if err := s.Validate(); err != nil {
+			return nil, err
+		}
+		r := s.WithDefaults()
+		out[i] = &scenario.Report{Spec: r}
+		for tr := 0; tr < r.Run.Trials; tr++ {
+			res, err := scenario.Trial(s, r.Run.Seed+int64(tr))
+			if err != nil {
+				return nil, err
+			}
+			out[i].Trials = append(out[i].Trials, res)
+		}
+	}
+	return out, nil
+}
+
+// TestExperimentTablesMatchColdTrials renders every ungated experiment
+// through the default sweeper, whose trials reuse warm per-worker runners,
+// workspaces and fleets, and again through coldSweeper. The rendered tables
+// and event totals must be identical: warm reuse may change where memory
+// comes from, never an execution.
+func TestExperimentTablesMatchColdTrials(t *testing.T) {
+	for _, e := range Experiments() {
+		if e.Gate != "" {
+			continue
+		}
+		t.Run(e.ID, func(t *testing.T) {
+			warm := e.Run(quickOpts())
+			o := quickOpts()
+			o.Sweeper = coldSweeper
+			cold := e.Run(o)
+			if w, c := warm.String(), cold.String(); w != c {
+				t.Fatalf("warm and cold tables differ\n--- warm ---\n%s--- cold ---\n%s", w, c)
+			}
+			if warm.SimEvents != cold.SimEvents {
+				t.Fatalf("sim events: warm %d, cold %d", warm.SimEvents, cold.SimEvents)
+			}
+		})
+	}
 }

@@ -28,10 +28,6 @@ type Options struct {
 	// are reduced in index order, so rendered tables are byte-identical at
 	// any Parallelism.
 	Parallelism int
-	// NoArena disables cross-trial run-arena and fleet reuse for pinned
-	// topologies (amacbench -no-arena). Executions and rendered tables
-	// are byte-identical either way; this is the debugging escape hatch.
-	NoArena bool
 	// Shards is the worker count experiments with a sharded leg pass to
 	// the decomposed executor (amacbench -shards); zero selects
 	// runtime.NumCPU(). Decomposed executions are pure functions of their
@@ -46,6 +42,16 @@ type Options struct {
 	// tables are byte-identical either way. The id is the experiment's,
 	// for job naming.
 	Sweeper func(id string, specs []scenario.Spec, o scenario.SweepOptions) ([]*scenario.Report, error)
+}
+
+// sweep executes an experiment's spec grid through the installed Sweeper,
+// or in-process via scenario.SweepWithOptions when none is set.
+func (o Options) sweep(id string, specs []scenario.Spec) ([]*scenario.Report, error) {
+	so := scenario.SweepOptions{Parallelism: o.Parallelism}
+	if o.Sweeper == nil {
+		return scenario.SweepWithOptions(specs, so)
+	}
+	return o.Sweeper(id, specs, so)
 }
 
 func (o Options) withDefaults() Options {

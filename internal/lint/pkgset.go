@@ -7,9 +7,8 @@ import (
 
 // enginePkgs are the determinism-critical packages: everything a seeded
 // execution flows through on its way to a trace byte. mapiter and wallclock
-// apply here. cmd/, examples/, harness and rt are deliberately outside the
-// set — amacbench timestamps its records with wall time and rt is the
-// real-time runtime whose whole point is the wall clock.
+// apply here. cmd/, examples/ and harness are deliberately outside the
+// set — amacbench timestamps its records with wall time.
 var enginePkgs = []string{
 	"amac/internal/sim",
 	"amac/internal/mac",

@@ -297,9 +297,6 @@ func (a *Arena) engineFor(cfg Config, automata []Automaton) *Engine {
 		}
 	}
 	e.timerSched, _ = cfg.Scheduler.(TimerScheduler)
-	if cfg.TraceCap > 0 {
-		e.trace.SetCap(cfg.TraceCap)
-	}
 	if cfg.NoTrace {
 		e.trace.Disable()
 	}

@@ -26,8 +26,6 @@ type Config struct {
 	// EpsAbort bounds how long after an abort a rcv caused by the aborted
 	// instance may still occur (the paper's ε_abort). Defaults to 0.
 	EpsAbort sim.Time
-	// TraceCap bounds trace memory; 0 keeps everything.
-	TraceCap int
 	// Sink, when set, receives every trace event instead of the in-memory
 	// trace — the streaming path for networks whose full trace cannot be
 	// held in RAM (pair with a sim.TraceWriter). Watchers still observe
@@ -219,9 +217,6 @@ func NewEngine(cfg Config, automata []Automaton) *Engine {
 	}
 	e.sim.SetDispatcher(e)
 	e.timerSched, _ = cfg.Scheduler.(TimerScheduler)
-	if cfg.TraceCap > 0 {
-		e.trace.SetCap(cfg.TraceCap)
-	}
 	if cfg.NoTrace {
 		e.trace.Disable()
 	}

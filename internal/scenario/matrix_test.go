@@ -9,10 +9,14 @@ import (
 	"amac/internal/topology"
 )
 
-// matrixSpecs are the option-matrix networks: a deterministic line (pinned
-// by its family), a fresh rgg draw per trial (unpinned: the workspace path),
-// and a seed-pinned pods network whose G′ falls apart into two components,
-// so shards >= 1 genuinely decomposes it.
+// matrixSpecs are the option-matrix networks, each with the algorithm and
+// scheduler pairs it runs: a deterministic line (pinned by its family), a
+// fresh rgg draw per trial (unpinned: the workspace path), and a seed-pinned
+// pods network whose G′ falls apart into two components, so shards >= 1
+// genuinely decomposes it. Each runs bmmb under every standard-model
+// scheduler and fmmb under its slot scheduler. A small parallel-lines
+// network adds the adversarial lower-bound schedule, which only that
+// construction supports.
 func matrixSpecs() []scenario.Spec {
 	base := func(name string, topo scenario.TopologySpec, k int) scenario.Spec {
 		return scenario.Spec{
@@ -23,22 +27,36 @@ func matrixSpecs() []scenario.Spec {
 			Run:      scenario.RunSpec{Seed: 3, Trials: 2},
 		}
 	}
-	return []scenario.Spec{
+	var out []scenario.Spec
+	for _, net := range []scenario.Spec{
 		base("line", scenario.TopologySpec{Name: "line", Params: topology.Params{"n": 10}}, 2),
 		base("rgg", scenario.TopologySpec{Name: "rgg",
 			Params: topology.Params{"n": 14, "side": 2.4, "c": 1.6, "p": 0.5}}, 2),
 		base("pods", scenario.TopologySpec{Name: "pods",
 			Params: topology.Params{"n": 16, "k": 2, "r": 2, "p": 0.5}, Seed: 5}, 2),
+	} {
+		for _, pair := range [][2]string{{"bmmb", "sync"}, {"bmmb", "random"}, {"bmmb", "contention"}, {"fmmb", "slot"}} {
+			s := net
+			s.Algorithm.Name, s.Scheduler.Name = pair[0], pair[1]
+			out = append(out, s)
+		}
 	}
+	adv := base("parallel-lines", scenario.TopologySpec{Name: "parallel-lines", Params: topology.Params{"d": 4}}, 0)
+	adv.Workload = scenario.WorkloadSpec{Kind: scenario.WorkloadConstruction}
+	adv.Algorithm.Name, adv.Scheduler.Name = "bmmb", "adversary"
+	return append(out, adv)
 }
 
-// matrixObs is what one executed trial shows: its scalar outcome and, when
-// it is still readable, its trace rendered as text ("" when it is not).
+// matrixObs is what one executed trial shows: its scalar outcome, whether
+// the model checker ran and passed, and, when it is still readable, its
+// trace rendered as text ("" when it is not).
 type matrixObs struct {
 	solved      bool
 	delivered   int
 	completion  int64
 	steps       uint64
+	checked     bool
+	checkOK     bool
 	trace       string
 	traceStored bool
 }
@@ -48,45 +66,48 @@ func (o matrixObs) String() string {
 		o.solved, o.delivered, o.completion, o.steps)
 }
 
-// TestOptionMatrix runs every combination of network × algorithm × trace
-// mode × shards × removed regions knob × execution path (warm scenario.Run,
-// cold scenario.Trial) that Validate accepts, and requires each to reach the
-// paper's answer: Solved, with Delivered, CompletionTime and Steps equal to
-// the cold memory-trace run of the same executor class (shards 0 is the
-// single-engine class, shards >= 1 the decomposed one). Traced modes must
-// also reproduce that run's trace byte for byte — the streamed file after
-// decoding it with sim.TraceReader. A mode that silently stops delivering
-// (trace off once did, under the removed windowed executor) fails here.
+// TestOptionMatrix runs every combination of network × algorithm and
+// scheduler × trace mode × check × shards × removed regions knob ×
+// execution path (warm scenario.Run, cold scenario.Trial) that Validate
+// accepts, and requires each to reach the paper's answer: Solved, with
+// Delivered, CompletionTime and Steps equal to the cold memory-trace run of
+// the same executor class (shards 0 is the single-engine class, shards >= 1
+// the decomposed one). Traced modes must also reproduce that run's trace
+// byte for byte — the streamed file after decoding it with
+// sim.TraceReader — and checked runs must report every abstract MAC layer
+// guarantee holding. A mode that silently stops delivering (trace off once
+// did, under the removed windowed executor) fails here.
 func TestOptionMatrix(t *testing.T) {
 	dir := t.TempDir()
+	specs := matrixSpecs()
 	accepted := 0
-	for _, spec := range matrixSpecs() {
-		for _, alg := range []string{"bmmb", "fmmb"} {
-			spec := spec
-			spec.Algorithm = scenario.AlgorithmSpec{Name: alg}
-			seeds := []int64{spec.Run.Seed, spec.Run.Seed + 1}
-			var refs [2][]matrixObs // by executor class, then seed
-			for class := range refs {
-				ref := spec
-				ref.Run.Shards = class
-				for _, seed := range seeds {
-					tr, err := scenario.Trial(ref, seed)
-					if err != nil {
-						t.Fatalf("%s/%s reference (shards %d) seed %d: %v", spec.Name, alg, class, seed, err)
-					}
-					refs[class] = append(refs[class], observe(t, tr, "", true))
+	for _, spec := range specs {
+		id := spec.Name + "/" + spec.Algorithm.Name + "/" + spec.Scheduler.Name
+		seeds := []int64{spec.Run.Seed, spec.Run.Seed + 1}
+		var refs [2][]matrixObs // by executor class, then seed
+		for class := range refs {
+			ref := spec
+			ref.Run.Shards = class
+			for _, seed := range seeds {
+				tr, err := scenario.Trial(ref, seed)
+				if err != nil {
+					t.Fatalf("%s reference (shards %d) seed %d: %v", id, class, seed, err)
 				}
+				refs[class] = append(refs[class], observe(t, tr, "", true))
 			}
-			for _, shards := range []int{0, 1, 2} {
-				for _, mode := range []string{"memory", "stream", "off"} {
+		}
+		for _, shards := range []int{0, 1, 2} {
+			for _, mode := range []string{"memory", "stream", "off"} {
+				for _, check := range []bool{false, true} {
 					for _, regions := range []int{0, 2} {
 						for _, warm := range []bool{true, false} {
 							s := spec
-							s.Run.Shards, s.Run.Trace, s.Run.Regions = shards, mode, regions
-							name := fmt.Sprintf("%s/%s/shards=%d/trace=%s/regions=%d/warm=%v",
-								spec.Name, alg, shards, mode, regions, warm)
+							s.Run.Shards, s.Run.Trace, s.Run.Check, s.Run.Regions = shards, mode, check, regions
+							name := fmt.Sprintf("%s/shards=%d/trace=%s/check=%v/regions=%d/warm=%v",
+								id, shards, mode, check, regions, warm)
 							if mode == "stream" {
-								s.Run.TraceFile = filepath.Join(dir, fmt.Sprintf("%s-%s-%d-%v.amtr", spec.Name, alg, shards, warm))
+								s.Run.TraceFile = filepath.Join(dir, fmt.Sprintf("%s-%s-%s-%d-%v.amtr",
+									spec.Name, spec.Algorithm.Name, spec.Scheduler.Name, shards, warm))
 							}
 							if err := s.Validate(); err != nil {
 								continue
@@ -106,6 +127,10 @@ func TestOptionMatrix(t *testing.T) {
 									t.Errorf("%s seed %d: trace differs from the memory-trace reference\ngot:\n%.300s\nwant:\n%.300s",
 										name, seeds[i], o.trace, want.trace)
 								}
+								if check && !(o.checked && o.checkOK) {
+									t.Errorf("%s seed %d: model check ran=%v ok=%v, want a passing report",
+										name, seeds[i], o.checked, o.checkOK)
+								}
 							}
 						}
 					}
@@ -113,9 +138,9 @@ func TestOptionMatrix(t *testing.T) {
 			}
 		}
 	}
-	// Every combination without the removed regions knob is legal; none
-	// with it is.
-	if want := 3 * 2 * 3 * 3 * 2; accepted != want {
+	// Every combination without the removed regions knob is legal except
+	// check with a non-memory trace; none with regions is.
+	if want := len(specs) * 3 * (3 + 1) * 2; accepted != want {
 		t.Fatalf("Validate accepted %d combinations, want %d", accepted, want)
 	}
 }
@@ -157,7 +182,8 @@ func runMatrixCase(t *testing.T, name string, s scenario.Spec, seeds []int64, wa
 func observe(t *testing.T, tr *scenario.TrialResult, traceFile string, intact bool) matrixObs {
 	t.Helper()
 	res := tr.Result
-	o := matrixObs{solved: res.Solved, delivered: res.Delivered, completion: int64(res.CompletionTime), steps: res.Steps}
+	o := matrixObs{solved: res.Solved, delivered: res.Delivered, completion: int64(res.CompletionTime), steps: res.Steps,
+		checked: res.Report != nil, checkOK: res.Report != nil && res.Report.OK()}
 	switch {
 	case traceFile != "":
 		o.trace = readTraceFile(t, scenario.TraceFilePath(traceFile, tr.Seed)).String()

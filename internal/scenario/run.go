@@ -23,26 +23,27 @@ type TrialResult struct {
 	Seed int64
 	// Built is the topology the trial ran on (randomized families draw a
 	// fresh instance per trial unless the spec pins the topology seed).
-	// When unpinned trials reuse warm per-worker state (NoArena unset),
+	// Run and Sweep execute unpinned trials on warm per-worker state, so
 	// the graphs behind Built are workspace storage recycled by the next
 	// trial on the same worker — except for the spec's first and final
 	// trials, which are always built into stable storage so report
 	// consumers stay correct (amacsim's header reads the first trial's
 	// network, bound formulas the last trial's). Callers needing every
-	// trial's instance intact copy it in a watcher or disable reuse.
+	// trial's instance intact copy it in a watcher or run each seed
+	// through Trial.
 	Built *topology.Built
 	// Workload is the resolved arrival schedule.
 	Workload *core.Workload
 	// SchedulerName is the resolved scheduler's self-description.
 	SchedulerName string
-	// Result is the execution outcome. When trials reuse warm per-worker
-	// state (NoArena unset), Result.Engine — and the trace it
-	// backs, Result.Trace — is recycled by the next trial on the same
-	// worker: with Trials == 1 it stays valid, and the scalar fields and
-	// Report are always safe, but multi-trial callers that need per-trial
-	// traces or instances must either copy them in a watcher or disable
-	// reuse. Decomposed runs (shards >= 1 on a multi-component network)
-	// leave Engine nil and return a freshly merged Trace the caller owns.
+	// Result is the execution outcome. Under Run and Sweep, Result.Engine
+	// — and the trace it backs, Result.Trace — is recycled by the next
+	// trial on the same worker: with Trials == 1 it stays valid, and the
+	// scalar fields and Report are always safe, but multi-trial callers
+	// that need per-trial traces or instances must either copy them in a
+	// watcher or run each seed through Trial. Decomposed runs (shards >= 1
+	// on a multi-component network) leave Engine nil and return a freshly
+	// merged Trace the caller owns.
 	Result *core.Result
 }
 
@@ -106,7 +107,7 @@ func (r *Report) Steps() uint64 {
 // an independent deterministic simulation keyed by its seed, so the report
 // is a pure function of the spec at any parallelism. It is the sweep
 // pipeline over the one spec: trials run on warm per-worker state (see
-// trialWorker) unless Run.NoArena selects the cold path.
+// trialWorker).
 func Run(s Spec) (*Report, error) {
 	r := s.WithDefaults()
 	p, err := newSweepPlan([]Spec{s}, SweepOptions{Parallelism: r.Run.Parallelism}, 0, -1)
@@ -127,11 +128,6 @@ type SweepOptions struct {
 	// Parallelism bounds concurrent (spec, trial) simulations; 0 or 1 runs
 	// sequentially. Reports are byte-identical at any value.
 	Parallelism int
-	// NoArena disables cross-trial reuse of runners, workspaces and
-	// fleets across the whole sweep (per-spec Run.NoArena also applies).
-	// Executions are identical either way; this is the debugging escape
-	// hatch.
-	NoArena bool
 	// Progress, when set, is called after each completed trial with the
 	// cumulative number of trials finished so far in this call (1..total).
 	// Trials complete on a worker pool, so the callback must be safe for
@@ -207,19 +203,15 @@ func SweepShard(specs []Spec, lo, hi int, o SweepOptions) ([]*TrialResult, error
 }
 
 // sweepPlan is the resolved execution plan of a sweep: every spec validated
-// and resolved, the flattened task-space offsets, and — for the task range
-// the caller will run — shared pinned topologies and per-worker warm state.
-// It is the single pipeline behind Run (one spec), SweepWithOptions (the
-// full task space) and SweepShard (a slice of it), so they cannot diverge.
+// and resolved, the flattened task-space offsets, and per-worker warm state
+// for the task range the caller will run. It is the single pipeline behind
+// Run (one spec), SweepWithOptions (the full task space) and SweepShard (a
+// slice of it), so they cannot diverge.
 type sweepPlan struct {
-	specs    []Spec // as passed (the cold path re-resolves these)
 	resolved []Spec
 	offsets  []int
-	// pinned holds the one network of each pinned spec; nil for unpinned
-	// specs and for specs outside the task range.
-	pinned []*topology.Built
-	// workers holds each warm spec's per-worker trial state, indexed by
-	// the pool's worker slot; nil runs the spec cold (NoArena).
+	// workers holds each spec's per-worker trial state, indexed by the
+	// pool's worker slot; nil for specs outside the task range.
 	workers  [][]*trialWorker
 	progress func(done int)
 }
@@ -230,10 +222,8 @@ type sweepPlan struct {
 // specs, so a narrow shard of a wide grid pays for its own slice only.
 func newSweepPlan(specs []Spec, o SweepOptions, lo, hi int) (*sweepPlan, error) {
 	p := &sweepPlan{
-		specs:    specs,
 		resolved: make([]Spec, len(specs)),
 		offsets:  make([]int, len(specs)+1),
-		pinned:   make([]*topology.Built, len(specs)),
 		workers:  make([][]*trialWorker, len(specs)),
 		progress: o.Progress,
 	}
@@ -262,14 +252,7 @@ func newSweepPlan(specs []Spec, o SweepOptions, lo, hi int) (*sweepPlan, error) 
 			if err != nil {
 				return nil, fmt.Errorf("scenario: spec %d (%s): %w", i, specs[i].Name, err)
 			}
-			p.pinned[i] = built
-			pin = &pinnedDraw{built: built}
-		}
-		if o.NoArena || r.Run.NoArena {
-			continue
-		}
-		if pin != nil {
-			pin.proto = core.NewRunner(pin.built.Dual)
+			pin = &pinnedDraw{built: built, proto: core.NewRunner(built.Dual)}
 		}
 		p.workers[i] = make([]*trialWorker, workers)
 		for w := range p.workers[i] {
@@ -296,19 +279,13 @@ func (p *sweepPlan) run(parallelism, lo, hi int) ([]*TrialResult, int, error) {
 			si++
 		}
 		seed := p.resolved[si].Run.Seed + int64(task-p.offsets[si])
-		if ws := p.workers[si]; ws != nil {
-			// keepBuilt marks the first and last tasks this call runs for
-			// the spec: their instances build into stable storage so the
-			// returned TrialResults honor the Built contract (see
-			// TrialResult.Built) even when the range is a shard.
-			first := max(p.offsets[si], lo)
-			last := min(p.offsets[si+1], hi) - 1
-			trials[i], errs[i] = ws[worker].trial(seed, task == first || task == last)
-		} else if built := p.pinned[si]; built != nil {
-			trials[i], errs[i] = trialOn(p.specs[si], seed, built)
-		} else {
-			trials[i], errs[i] = Trial(p.specs[si], seed)
-		}
+		// keepBuilt marks the first and last tasks this call runs for the
+		// spec: their instances build into stable storage so the returned
+		// TrialResults honor the Built contract (see TrialResult.Built)
+		// even when the range is a shard.
+		first := max(p.offsets[si], lo)
+		last := min(p.offsets[si+1], hi) - 1
+		trials[i], errs[i] = p.workers[si][worker].trial(seed, task == first || task == last)
 		if errs[i] == nil && p.progress != nil {
 			p.progress(int(completed.Add(1)))
 		}
@@ -459,7 +436,7 @@ func Trial(s Spec, seed int64) (*TrialResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return trialOn(s, seed, built)
+	return TrialOn(s, seed, built)
 }
 
 // BuildTopology constructs the network instance that trial `seed` of the
@@ -473,7 +450,15 @@ func BuildTopology(s Spec, seed int64) (*topology.Built, error) {
 // TrialOn executes one seed of the scenario on an already-built network
 // instance (see BuildTopology). The instance is treated as read-only.
 func TrialOn(s Spec, seed int64, built *topology.Built) (*TrialResult, error) {
-	return trialOn(s, seed, built)
+	p, err := resolvePlan(s.WithDefaults(), built)
+	if err != nil {
+		return nil, err
+	}
+	automata, err := p.newFleet()
+	if err != nil {
+		return nil, err
+	}
+	return p.execute(seed, automata, nil, nil)
 }
 
 // ResolveWorkload resolves the spec's workload against a built instance —
@@ -530,23 +515,10 @@ func topologyPinned(r Spec) bool {
 		r.Topology.Seed != 0 || r.Topology.Params.Has("seed")
 }
 
-// trialOn executes one seed of the scenario on an already-built network.
-func trialOn(s Spec, seed int64, built *topology.Built) (*TrialResult, error) {
-	p, err := resolvePlan(s.WithDefaults(), built)
-	if err != nil {
-		return nil, err
-	}
-	automata, err := p.newFleet()
-	if err != nil {
-		return nil, err
-	}
-	return p.execute(seed, automata, nil, nil)
-}
-
 // trialPlan is everything about a trial that is a pure function of the
 // resolved spec and its built network: the workload, payloads, algorithm,
 // horizon and step limit. It is the single spec-resolution pipeline behind
-// both the cold path (trialOn resolves one per trial) and the warm path
+// both the cold path (TrialOn resolves one per trial) and the warm path
 // (trialWorker interns one per drawn node count), so the two cannot
 // diverge.
 type trialPlan struct {

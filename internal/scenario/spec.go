@@ -157,10 +157,6 @@ type RunSpec struct {
 	Horizon int64 `json:"horizon,omitempty"`
 	// StepLimit bounds simulation events; 0 selects the algorithm default.
 	StepLimit uint64 `json:"step_limit,omitempty"`
-	// NoArena disables cross-trial reuse of runners, workspaces and
-	// fleets — the debugging escape hatch. Executions are byte-identical
-	// either way; reuse only changes where the memory comes from.
-	NoArena bool `json:"no_arena,omitempty"`
 	// TraceFile is the file each trial's trace streams to (see
 	// sim.TraceWriter) under "trace": "stream", instead of accumulating in
 	// RAM — the path for networks whose traces exceed memory. The trial

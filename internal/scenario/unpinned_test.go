@@ -82,29 +82,12 @@ func TestUnpinnedWarmMatchesCold(t *testing.T) {
 	}
 }
 
-// TestUnpinnedSweepMatchesNoArena pins the guarantee at the scenario
-// surface: sweeps of unpinned specs produce identical reports with warm
-// reuse on and off, sequential and parallel alike.
-func TestUnpinnedSweepMatchesNoArena(t *testing.T) {
+// TestUnpinnedSweepMatchesColdTrials pins the guarantee at the scenario
+// surface: sweeps of unpinned specs produce the same reports as one cold
+// Trial per seed, sequential and parallel alike.
+func TestUnpinnedSweepMatchesColdTrials(t *testing.T) {
 	specs := unpinnedSpecs(5)
-	fingerprint := func(reports []*Report) string {
-		out := ""
-		for _, r := range reports {
-			for _, tr := range r.Trials {
-				res := tr.Result
-				ok := res.Report == nil || res.Report.OK()
-				out += fmt.Sprintf("%s seed=%d net=%s solved=%v t=%d end=%d del=%d req=%d bcasts=%d steps=%d check=%v\n",
-					r.Spec.Name, tr.Seed, tr.Built.Dual.Name, res.Solved, res.CompletionTime,
-					res.End, res.Delivered, res.Required, res.Broadcasts, res.Steps, ok)
-			}
-		}
-		return out
-	}
-	baseline, err := SweepWithOptions(specs, SweepOptions{Parallelism: 1, NoArena: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fingerprint(baseline)
+	want := reportFingerprint(coldReports(t, specs))
 	for _, tc := range []SweepOptions{
 		{Parallelism: 1},
 		{Parallelism: 3},
@@ -113,8 +96,8 @@ func TestUnpinnedSweepMatchesNoArena(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
-		if got := fingerprint(reports); got != want {
-			t.Fatalf("unpinned sweep with %+v diverged from the cold baseline:\ngot:\n%s\nwant:\n%s", tc, got, want)
+		if got := reportFingerprint(reports); got != want {
+			t.Fatalf("unpinned sweep with %+v diverged from the cold trials:\ngot:\n%s\nwant:\n%s", tc, got, want)
 		}
 	}
 }
@@ -144,14 +127,9 @@ func TestDeterministicFamilyTakesWarmPath(t *testing.T) {
 		t.Fatal("trials of a deterministic family did not reuse the warm engine")
 	}
 
-	cold := spec
-	cold.Run.NoArena = true
-	coldRep, err := Run(cold)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := coldReports(t, []Spec{spec})[0]
 	for i := range warm.Trials {
-		w, c := warm.Trials[i].Result, coldRep.Trials[i].Result
+		w, c := warm.Trials[i].Result, cold.Trials[i].Result
 		if w.CompletionTime != c.CompletionTime || w.Steps != c.Steps || w.Delivered != c.Delivered {
 			t.Fatalf("trial %d diverged between warm and cold deterministic-family runs", i)
 		}

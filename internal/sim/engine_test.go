@@ -257,24 +257,6 @@ func TestQueueInterleavedProperty(t *testing.T) {
 	}
 }
 
-func TestTraceCap(t *testing.T) {
-	var tr Trace
-	tr.SetCap(100)
-	for i := 0; i < 1000; i++ {
-		tr.Append(TraceEvent{At: Time(i), Kind: "x", Node: i})
-	}
-	if tr.Len() > 100 {
-		t.Fatalf("trace len %d exceeds cap", tr.Len())
-	}
-	if tr.Dropped() == 0 {
-		t.Fatal("expected drops")
-	}
-	evs := tr.Events()
-	if evs[len(evs)-1].At != 999 {
-		t.Fatalf("lost most recent event, last = %v", evs[len(evs)-1])
-	}
-}
-
 func TestTraceFilter(t *testing.T) {
 	var tr Trace
 	tr.Append(TraceEvent{Kind: "a", Node: 1})
