@@ -321,7 +321,7 @@ func printReport(out io.Writer, rep *scenario.Report, stats, trace bool) error {
 	alg, _ := core.LookupAlgorithm(spec.Algorithm.Name)
 
 	fmt.Fprintf(out, "network    : %s (n=%d, D=%d, |E|=%d, |E'\\E|=%d)\n",
-		d.Name, d.N(), d.G.Diameter(), d.G.M(), len(d.UnreliableEdges()))
+		d.Name, d.N(), d.G.Diameter(), d.G.M(), d.UnreliableCount())
 	if spec.Workload.Kind == scenario.WorkloadPoisson {
 		fmt.Fprintf(out, "workload   : k=%d messages arriving online over the first %d ticks\n",
 			first.Workload.K(), spec.Workload.Span)

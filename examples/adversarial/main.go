@@ -50,7 +50,7 @@ func main() {
 	res := trial.Result
 
 	fmt.Printf("network C (Figure 2): two %d-node lines, %d reliable + %d unreliable edges\n",
-		D, net.G.M(), len(net.UnreliableEdges()))
+		D, net.G.M(), net.UnreliableCount())
 	fmt.Printf("grey zone constant realized by the embedding: c = %.2f\n\n", net.GreyZoneConstant())
 
 	// Narrate m0's march down line A from the recorded trace.

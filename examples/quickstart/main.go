@@ -51,7 +51,7 @@ func main() {
 
 	fmt.Printf("network: %s\n", dual.Name)
 	fmt.Printf("  nodes=%d  diameter=%d  reliable-links=%d  unreliable-links=%d\n",
-		dual.N(), dual.G.Diameter(), dual.G.M(), len(dual.UnreliableEdges()))
+		dual.N(), dual.G.Diameter(), dual.G.M(), dual.UnreliableCount())
 
 	if !result.Solved {
 		fmt.Fprintf(os.Stderr, "quickstart: MMB not solved (%d/%d deliveries)\n",

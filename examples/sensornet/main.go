@@ -87,7 +87,7 @@ func main() {
 		}
 		bound := diameter*fprog + r*k*fack
 		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%.3f\n",
-			r, len(trial.Built.Dual.UnreliableEdges()), int64(res.CompletionTime), bound,
+			r, trial.Built.Dual.UnreliableCount(), int64(res.CompletionTime), bound,
 			float64(res.CompletionTime)/float64(bound))
 	}
 	w.Flush()

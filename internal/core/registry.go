@@ -108,12 +108,13 @@ func ValidateAlgorithmSpec(name string, p topology.Params) error {
 }
 
 // fmmbConfigFromParams resolves an FMMBConfig for a k-message workload on d.
-// The diameter bound defaults to the diameter of G — exact below
+// The diameter bound defaults to graph.ApproxDiameter of G — exact below
 // graph.ExactDiameterCutoff (simulated nodes receive it as an input,
-// matching the paper's assumption), sampled above it, where the exact
-// all-sources computation would dwarf the run itself. Pass the "d"
-// parameter to pin the bound on large networks whose sampled estimate
-// proves too tight.
+// matching the paper's assumption), sampled above it. The sampled value is
+// kept rather than the exact one because it shapes FMMB's schedule, so
+// changing it could change large-n executions. Pass the "d" parameter
+// to pin the bound on large networks whose sampled estimate proves too
+// tight.
 func fmmbConfigFromParams(d *topology.Dual, k int, p topology.Params) FMMBConfig {
 	return FMMBConfig{
 		N:             d.N(),

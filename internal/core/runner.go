@@ -426,10 +426,10 @@ func runWith(cfg RunConfig, rn *Runner) (*Result, error) {
 		// Trivial upper bound O(D·k·Fack) with headroom, plus slack for
 		// FMMB's polylog terms on small networks, shifted by the last
 		// arrival for online workloads. The diameter is sampled above
-		// graph.ExactDiameterCutoff (exact — and identical — below it):
-		// the all-sources exact computation is quadratic and would
-		// dominate setup on 10^5-node networks, and the double-sweep
-		// estimate is a lower bound whose slack the 4x headroom absorbs.
+		// graph.ExactDiameterCutoff (exact — and identical — below it);
+		// the double-sweep estimate is a lower bound whose slack the 4x
+		// headroom absorbs. It is kept over the exact value so the
+		// horizon, which caps every execution, stays unchanged.
 		d := cfg.Dual.G.ApproxDiameter(horizonDiameterSamples, horizonDiameterSeed)
 		cfg.Horizon = cfg.Workload.MaxAt() +
 			sim.Time(4*(d+1)*(k+1))*cfg.Fack + 4096*cfg.Fprog

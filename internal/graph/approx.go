@@ -2,11 +2,12 @@ package graph
 
 import "math/rand"
 
-// ExactDiameterCutoff is the node count up to which ApproxDiameter computes
-// the exact all-source diameter. Exact diameter is O(n·m); past this size
-// the sampled double-sweep estimate below is used instead. Every experiment
-// shipped before the large-n family sits well under the cutoff, so their
-// horizons and tables are unchanged by the approximate path existing.
+// ExactDiameterCutoff is the node count up to which ApproxDiameter returns
+// the exact diameter; past it the sampled double-sweep estimate below is
+// used. Both values feed executions (run horizons, FMMB's D), so the cutoff
+// and the sample stay fixed to keep every run reproducible: replacing the
+// estimate with the exact diameter, which Diameter now finds cheaply, could
+// change large-n executions.
 const ExactDiameterCutoff = 2048
 
 // ApproxDiameter estimates the diameter with k seeded double sweeps: each
@@ -63,34 +64,4 @@ func (g *Graph) ApproxDiameter(k int, seed int64) int {
 	putScratch(s)
 	g.adiam, g.adiamOK, g.adiamK, g.adiamSeed = best, true, k, seed
 	return best
-}
-
-// SampleEccentricities returns the exact eccentricities of k seeded
-// pseudo-random sources (one BFS each) — the sampling primitive behind
-// ApproxDiameter, exposed for metrics that want the distribution rather
-// than the maximum. Sources are drawn with replacement, deterministically
-// in seed.
-func (g *Graph) SampleEccentricities(k int, seed int64) []int {
-	g.finalize()
-	if k < 1 {
-		k = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]int, k)
-	s := getScratch(g.n)
-	resetDist(s.dist)
-	for i := range out {
-		src := NodeID(rng.Intn(g.n))
-		s.queue = g.bfsInto(src, s.dist, s.queue)
-		ecc := 0
-		for _, v := range s.queue {
-			if d := s.dist[v]; d > ecc {
-				ecc = d
-			}
-			s.dist[v] = Unreachable
-		}
-		out[i] = ecc
-	}
-	putScratch(s)
-	return out
 }

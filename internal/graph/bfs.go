@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"slices"
 	"sync"
 )
@@ -16,9 +17,15 @@ const Unreachable = -1
 // pooled scratch is exclusively owned between get and put. Connectivity
 // probes run once per rejected draw inside the random-topology builders, so
 // steady-state sweeps must not pay an allocation here.
+//
+// lo, hi and cand are Diameter's eccentricity bounds and candidate list,
+// grown separately (growEcc) so the connectivity probes never pay for them.
 type bfsScratch struct {
 	dist  []int
 	queue []NodeID
+	lo    []int
+	hi    []int
+	cand  []NodeID
 }
 
 var bfsPool = sync.Pool{New: func() any { return new(bfsScratch) }}
@@ -26,11 +33,12 @@ var bfsPool = sync.Pool{New: func() any { return new(bfsScratch) }}
 // getScratch returns a scratch with capacity for n nodes. dist contents are
 // stale; callers reset the entries they rely on (resetDist, or restoring
 // visited entries after each walk).
+//
 //amac:hotpath
 func getScratch(n int) *bfsScratch {
 	s := bfsPool.Get().(*bfsScratch)
 	if cap(s.dist) < n {
-		s.dist = make([]int, n) //lint:hotalloc lazy grow: runs once per pool entry per graph size, then every warm call reuses the block
+		s.dist = make([]int, n)        //lint:hotalloc lazy grow: runs once per pool entry per graph size, then every warm call reuses the block
 		s.queue = make([]NodeID, 0, n) //lint:hotalloc lazy grow, same lifetime as dist above
 	}
 	s.dist = s.dist[:n]
@@ -38,6 +46,19 @@ func getScratch(n int) *bfsScratch {
 }
 
 func putScratch(s *bfsScratch) { bfsPool.Put(s) }
+
+// growEcc sizes the eccentricity-bound arrays for n nodes. Contents are
+// stale; Diameter initializes them per component.
+//
+//amac:hotpath
+func (s *bfsScratch) growEcc(n int) {
+	if cap(s.lo) < n {
+		s.lo = make([]int, n)         //lint:hotalloc lazy grow: runs once per pool entry per graph size, then every warm Diameter reuses the block
+		s.hi = make([]int, n)         //lint:hotalloc lazy grow, same lifetime as lo above
+		s.cand = make([]NodeID, 0, n) //lint:hotalloc lazy grow, same lifetime as lo above
+	}
+	s.lo, s.hi = s.lo[:n], s.hi[:n]
+}
 
 func resetDist(dist []int) {
 	for i := range dist {
@@ -49,6 +70,7 @@ func resetDist(dist []int) {
 // whose entries must be Unreachable beforehand — and returns the visited
 // nodes in traversal order in queue's storage. The graph must be finalized
 // (every public entry point below finalizes first).
+//
 //amac:hotpath
 func (g *Graph) bfsInto(src NodeID, dist []int, queue []NodeID) []NodeID {
 	dist[src] = 0
@@ -113,6 +135,10 @@ func (g *Graph) Eccentricity(src NodeID) int {
 // memoized until the next mutation (runners recompute the diameter of the
 // same network for every execution); the memo is lock-guarded because
 // finished graphs are shared read-only across parallel harness workers.
+//
+// The value is exact, found per component by bounding eccentricities
+// (Takes & Kosters, "Determining the diameter of small world networks",
+// CIKM 2011) rather than by a BFS from every node; see boundedDiameter.
 func (g *Graph) Diameter() int {
 	g.finalize()
 	g.diamMu.Lock()
@@ -121,20 +147,109 @@ func (g *Graph) Diameter() int {
 		return g.diam
 	}
 	s := getScratch(g.n)
-	resetDist(s.dist)
-	max := 0
-	for u := 0; u < g.n; u++ {
-		s.queue = g.bfsInto(NodeID(u), s.dist, s.queue)
-		for _, v := range s.queue {
-			if d := s.dist[v]; d > max {
-				max = d
-			}
-			s.dist[v] = Unreachable // restore for the next source
-		}
-	}
+	d, _ := g.boundedDiameter(s)
 	putScratch(s)
-	g.diam, g.diamOK = max, true
-	return max
+	g.diam, g.diamOK = d, true
+	return d
+}
+
+// unvisited marks, in bfsScratch.hi, a node whose component boundedDiameter
+// has not reached yet; every reached node holds a bound >= 0.
+const unvisited = -1
+
+// boundedDiameter returns the diameter of the finalized graph and the number
+// of BFS sweeps it took, summed over components (the count exists for the
+// work-bound tests). Each component is solved by componentDiameter, rooted at
+// its smallest node id.
+func (g *Graph) boundedDiameter(s *bfsScratch) (diam, sweeps int) {
+	s.growEcc(g.n)
+	resetDist(s.dist)
+	for i := range s.hi {
+		s.hi[i] = unvisited
+	}
+	for root := 0; root < g.n; root++ {
+		if s.hi[root] != unvisited {
+			continue
+		}
+		d, k := g.componentDiameter(NodeID(root), s)
+		diam = max(diam, d)
+		sweeps += k
+	}
+	return diam, sweeps
+}
+
+// componentDiameter computes the exact diameter of root's component. Every
+// node w keeps bounds lo[w] <= ecc(w) <= hi[w]; a BFS from v with
+// eccentricity e tightens them by the triangle inequality:
+//
+//	lo[w] = max(lo[w], d(v,w), e-d(v,w))    hi[w] = min(hi[w], e+d(v,w))
+//
+// The largest eccentricity seen so far, diam, is a diameter lower bound. A
+// node can still raise it only while hi[w] > diam and its eccentricity is
+// not yet pinned (lo[w] != hi[w]); every other node leaves the candidate
+// list for good, since diam only grows and hi only shrinks. Each sweep pins
+// its own source, so the loop ends, and once the list is empty no node's
+// eccentricity exceeds diam. Sources alternate between the candidate with
+// the largest upper bound (a far node, raising best) and the one with the
+// smallest lower bound (a central node, whose small eccentricity cuts the
+// upper bounds); ties go to the higher degree, then the lower id. The
+// discovery BFS from root is the first sweep. It returns the diameter and
+// the number of sweeps.
+func (g *Graph) componentDiameter(root NodeID, s *bfsScratch) (diam, sweeps int) {
+	dist, lo, hi := s.dist, s.lo, s.hi
+	s.queue = g.bfsInto(root, dist, s.queue)
+	cand := append(s.cand[:0], s.queue...)
+	for _, w := range cand {
+		lo[w], hi[w] = 0, math.MaxInt
+	}
+	far := true
+	for {
+		sweeps++
+		e := dist[s.queue[len(s.queue)-1]] // BFS order ends at a farthest node
+		diam = max(diam, e)
+		keep := cand[:0]
+		next := NodeID(-1)
+		for _, w := range cand {
+			d := dist[w]
+			l, h := max(lo[w], d, e-d), min(hi[w], e+d)
+			lo[w], hi[w] = l, h
+			if h <= diam || l == h {
+				continue
+			}
+			keep = append(keep, w)
+			if next < 0 || g.preferSource(w, next, lo, hi, far) {
+				next = w
+			}
+		}
+		cand = keep
+		for _, w := range s.queue {
+			dist[w] = Unreachable // restore for the next sweep
+		}
+		if next < 0 {
+			break
+		}
+		s.queue = g.bfsInto(next, dist, s.queue)
+		far = !far
+	}
+	s.cand = cand
+	return diam, sweeps
+}
+
+// preferSource reports whether candidate w beats the current pick: by the
+// larger upper bound when far is set, by the smaller lower bound otherwise,
+// then by the higher degree, then by the lower id.
+func (g *Graph) preferSource(w, cur NodeID, lo, hi []int, far bool) bool {
+	if far && hi[w] != hi[cur] {
+		return hi[w] > hi[cur]
+	}
+	if !far && lo[w] != lo[cur] {
+		return lo[w] < lo[cur]
+	}
+	dw, dc := g.off[w+1]-g.off[w], g.off[cur+1]-g.off[cur]
+	if dw != dc {
+		return dw > dc
+	}
+	return w < cur
 }
 
 // Components returns the connected components as slices of node IDs, each
@@ -161,6 +276,7 @@ func (g *Graph) Components() [][]NodeID {
 // for the empty and single-node graphs). A single BFS from node 0 — no
 // component materialization, because the random-topology builders probe
 // connectivity on every rejected draw.
+//
 //amac:hotpath
 func (g *Graph) IsConnected() bool {
 	if g.n <= 1 {

@@ -353,29 +353,6 @@ func TestApproxDiameterAboveCutoff(t *testing.T) {
 	}
 }
 
-// TestSampleEccentricities checks the sampling primitive: k exact
-// eccentricities, deterministic in seed, each bounded by the diameter.
-func TestSampleEccentricities(t *testing.T) {
-	g := line(600)
-	ecc := g.SampleEccentricities(5, 9)
-	if len(ecc) != 5 {
-		t.Fatalf("len = %d, want 5", len(ecc))
-	}
-	if again := g.SampleEccentricities(5, 9); !slices.Equal(again, ecc) {
-		t.Fatalf("not deterministic: %v then %v", again, ecc)
-	}
-	diam := g.Diameter()
-	for i, e := range ecc {
-		// On a path, every eccentricity is at least half the diameter.
-		if e > diam || e < diam/2 {
-			t.Fatalf("ecc[%d] = %d outside [%d, %d]", i, e, diam/2, diam)
-		}
-	}
-	if got := len(g.SampleEccentricities(0, 1)); got != 1 {
-		t.Fatalf("k<1 clamps to 1 sample, got %d", got)
-	}
-}
-
 // TestBFSQueriesAllocationFree pins the pooled-scratch contract: once the
 // BFS pool is warm, the distance/connectivity/eccentricity queries the
 // builders and runners issue per trial must not allocate. A regression here
@@ -426,7 +403,6 @@ func TestSharedGraphQueriesConcurrent(t *testing.T) {
 					d = g.Diameter()
 				case 2:
 					d = g.Eccentricity(NodeID(i))
-					g.SampleEccentricities(1, int64(i))
 				case 3:
 					g.BFS(NodeID(w * 100))
 					d = g.Dist(0, NodeID(w*100+i))

@@ -55,6 +55,11 @@ func (d *Dual) UnreliableEdges() [][2]graph.NodeID {
 	return out
 }
 
+// UnreliableCount returns |E′ \ E| without building the edge list. It is
+// GPrime.M() − G.M(), which holds because every dual a run accepts passes
+// Validate (E ⊆ E′).
+func (d *Dual) UnreliableCount() int { return d.GPrime.M() - d.G.M() }
+
 // IsRRestricted reports whether every G′ edge connects nodes within r hops
 // in G (the r-restricted constraint of Section 2).
 func (d *Dual) IsRRestricted(r int) bool {

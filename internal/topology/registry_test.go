@@ -59,6 +59,27 @@ func TestBuildIntoMatchesBuild(t *testing.T) {
 	}
 }
 
+// TestUnreliableCountMatchesEdges: for every registered family, the O(1)
+// count the reports print equals the length of the materialized E′ \ E
+// list.
+func TestUnreliableCountMatchesEdges(t *testing.T) {
+	for _, name := range Names() {
+		p, ok := buildCases[name]
+		if !ok {
+			t.Fatalf("no build case for registered family %q — extend buildCases", name)
+		}
+		for seed := int64(1); seed <= 4; seed++ {
+			b, err := BuildSeeded(name, p, seed)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			if got, want := b.Dual.UnreliableCount(), len(b.Dual.UnreliableEdges()); got != want {
+				t.Fatalf("%s seed %d: UnreliableCount = %d, want %d", name, seed, got, want)
+			}
+		}
+	}
+}
+
 // TestBuildIntoReusesStorage pins the point of the workspace: repeated
 // builds of one randomized family recycle the graph pool (same *Graph
 // handed back) and allocate well under a cold build.
